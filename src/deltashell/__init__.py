@@ -7,7 +7,7 @@ contour-quadrature reference for everything.
 """
 
 from .model import (DeltaShellPotential, SineInitialState, box_state,
-                    initial_state_eval, normalization_constant)
+                    normalization_constant)
 from .poles import (Pole, PoleSet, Quadrant, count_roots_in_rectangle, find_poles,
                     pole_equation_residual, resonance_parameters)
 from .basis import (ResonantBasis, ResonantState, build_basis, green_expansion,
@@ -17,7 +17,7 @@ from .expansion import (ETA, ExpansionContext, OverlapSet, SurvivalSeries,
                         overlap_coefficient, survival_amplitude, survival_series,
                         tail_coefficient, transition_time, two_pole_amplitude,
                         wavefunction)
-from .oracle import (GAMMA_ROTATION, GreenEvaluation, QuadratureSettings,
+from .oracle import (GAMMA_ROTATION, QuadratureSettings,
                      exact_survival_series, green_function, jost_function,
                      propagator, residue_at_pole, resolvent_matrix_element,
                      survival_amplitude_exact)
@@ -27,8 +27,7 @@ from .verify import run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeltaShellPotential", "SineInitialState", "box_state", "initial_state_eval",
-    "normalization_constant",
+    "DeltaShellPotential", "SineInitialState", "box_state", "normalization_constant",
     "Pole", "PoleSet", "Quadrant", "count_roots_in_rectangle", "find_poles",
     "pole_equation_residual", "resonance_parameters",
     "ResonantBasis", "ResonantState", "build_basis", "green_expansion",
@@ -37,7 +36,7 @@ __all__ = [
     "build_overlaps", "closure_sum", "lifetime", "overlap_coefficient",
     "survival_amplitude", "survival_series", "tail_coefficient", "transition_time",
     "two_pole_amplitude", "wavefunction",
-    "GAMMA_ROTATION", "GreenEvaluation", "QuadratureSettings", "exact_survival_series",
+    "GAMMA_ROTATION", "QuadratureSettings", "exact_survival_series",
     "green_function", "jost_function", "propagator", "residue_at_pole",
     "resolvent_matrix_element", "survival_amplitude_exact",
     "PoleTrajectory", "find_singularity", "track_pole",

@@ -79,6 +79,9 @@ class ResonantBasis:
                             for p in pole_set.proper)
         self.improper = tuple(ResonantState.build(p, pole_set.potential)
                               for p in pole_set.improper)
+        pairs = (self.proper[:self.n_pairs], self.improper[:self.n_pairs])
+        self._k = np.array([[st.pole.k for st in fam] for fam in pairs], dtype=complex)
+        self._A = np.array([[st.A for st in fam] for fam in pairs], dtype=complex)
 
     def state(self, p: int) -> ResonantState:
         if p > 0:
@@ -89,11 +92,16 @@ class ResonantBasis:
 
     def pairs(self, N: int):
         """Yield (improper_state, proper_state) for p = 1..N (fixed summation order)."""
-        if N > min(len(self.proper), len(self.improper)):
-            raise ValueError(f"basis holds {len(self.proper)}+{len(self.improper)} states, "
-                             f"asked for N={N}")
+        self._arrays(N)  # raises for N > n_pairs
         for i in range(N):
             yield self.improper[i], self.proper[i]
+
+    def _arrays(self, N: int):
+        """(k_p, A_p) for p = +-1..+-N as (2, N) arrays, row 0 proper, row 1 improper."""
+        if N > self.n_pairs:
+            raise ValueError(f"basis holds {len(self.proper)}+{len(self.improper)} states, "
+                             f"asked for N={N}")
+        return self._k[:, :N], self._A[:, :N]
 
     @property
     def n_pairs(self) -> int:
@@ -102,6 +110,19 @@ class ResonantBasis:
 
 def build_basis(pole_set: PoleSet) -> ResonantBasis:
     return ResonantBasis(pole_set)
+
+
+def _state_products(k, A, r: float, rp: float):
+    """u_p(r) u_p(r') = A_p^2 sin(k_p r) sin(k_p r') for r, r' <= a, over arrays k_p, A_p."""
+    return A * np.sin(k * r) * A * np.sin(k * rp)
+
+
+def _interior_products(basis: ResonantBasis, r: float, rp: float, N: int):
+    """(k_p, u_p(r) u_p(r')) over p = +-1..+-N; the states are complete only for r, r' <= a."""
+    if r > basis.potential.a or rp > basis.potential.a:
+        raise ValueError("pole sums over the states hold only inside the interaction region")
+    k, A = basis._arrays(N)
+    return k, _state_products(k, A, r, rp)
 
 
 def sum_rule_defect(basis: ResonantBasis, r: float, rp: float, order: int, N: int) -> complex:
@@ -114,36 +135,22 @@ def sum_rule_defect(basis: ResonantBasis, r: float, rp: float, order: int, N: in
     """
     if order not in (-1, 0, 1):
         raise ValueError(f"order must be -1, 0 or +1, got {order}")
-    a = basis.potential.a
-    if r > a or rp > a:
-        raise ValueError("sum rules hold only inside the interaction region")
-    if r == a and rp == a:
+    if r == basis.potential.a and rp == basis.potential.a:
         raise ValueError("expansion is invalid at r = r' = a")
-    total = 0j
-    for st_m, st_p in basis.pairs(N):
-        total += st_m(r) * st_m(rp) * st_m.pole.k ** order
-        total += st_p(r) * st_p(rp) * st_p.pole.k ** order
-    return total
+    k, uu = _interior_products(basis, r, rp, N)
+    return complex(np.sum(uu * k ** order))
 
 
 def gaussian_damped_sum_rule(basis: ResonantBasis, r: float, rp: float, order: int,
                              N: int, eps: float) -> complex:
     """Sum rule with weight exp(-eps k_p^2), the damping the contour rotation supplies."""
-    total = 0j
-    for st_m, st_p in basis.pairs(N):
-        for st in (st_m, st_p):
-            k = st.pole.k
-            total += st(r) * st(rp) * k ** order * cmath.exp(-eps * k * k)
-    return total
+    k, uu = _interior_products(basis, r, rp, N)
+    return complex(np.sum(uu * k ** order * np.exp(-eps * k * k)))
 
 
 def green_expansion(basis: ResonantBasis, r: float, rp: float, k: complex, N: int) -> complex:
     """Truncated pole expansion of the outgoing Green's function:
     sum over p = -N..N of u_p(r) u_p(r') / (2 k_p (k - k_p)).
     """
-    total = 0j
-    for st_m, st_p in basis.pairs(N):
-        for st in (st_m, st_p):
-            kp = st.pole.k
-            total += st(r) * st(rp) / (2 * kp * (k - kp))
-    return total
+    kp, uu = _interior_products(basis, r, rp, N)
+    return complex(np.sum(uu / (2 * kp * (k - kp))))

@@ -15,14 +15,12 @@ import numpy as np
 
 from . import io as dsio
 from .basis import build_basis
-from .errors import (CompletenessError, DeltaShellError, NoCrossingError,
-                     NoTransitionError, QuadratureError, SolverError,
-                     TrajectoryLostError)
+from .errors import DeltaShellError, NoCrossingError, NoTransitionError
 from .expansion import build_expansion, lifetime, survival_series
 from .model import DeltaShellPotential, SineInitialState, box_state
-from .oracle import survival_amplitude_exact
-from .poles import find_poles
-from .singularity import find_singularity, track_pole
+from .oracle import DEFAULT_QUAD, jost_function, survival_amplitude_exact
+from .poles import find_poles, pole_equation_residual
+from .singularity import _locate_crossing, _trajectory
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -47,11 +45,14 @@ def _write(path, text):
             fh.write(text)
 
 
-def _parse_time(spec: str, tau: float) -> float:
-    spec = spec.strip().lower()
-    if spec.endswith("tau"):
-        return float(spec[:-3]) * tau
-    return float(spec)
+def _parse_time(spec: str) -> tuple:
+    """(value, in_lifetimes) of a time given as a plain number or like '40tau'."""
+    text = spec.strip().lower()
+    in_lifetimes = text.endswith("tau")
+    try:
+        return float(text[:-3] if in_lifetimes else text), in_lifetimes
+    except ValueError:
+        raise CliError(f"cannot parse time specification {spec!r}", EXIT_INVALID)
 
 
 def _potential(args) -> DeltaShellPotential:
@@ -96,15 +97,22 @@ def cmd_survival(args) -> int:
         raise CliError("--samples must be >= 2", EXIT_INVALID)
     if args.n < 1:
         raise CliError("--n must be >= 1", EXIT_INVALID)
+    tmax = _parse_time(args.tmax)
+    tmin = _parse_time(args.tmin) if args.tmin else None
+    t_floor = DEFAULT_QUAD.t_min if args.oracle else 0.0  # the oracle's smallest time
+    if tmin is not None and not tmin[1] and tmin[0] < t_floor:  # known before any solve
+        raise CliError(f"--tmin {args.tmin} is below the oracle's minimum time {t_floor}",
+                       EXIT_INVALID)
     ctx = build_expansion(pot, init, args.n)
     tau = lifetime(ctx.pole_set)
-    try:
-        t_max = _parse_time(args.tmax, tau)
-        t_min = _parse_time(args.tmin, tau) if args.tmin else t_max / args.samples
-    except ValueError:
-        raise CliError(f"cannot parse time specification {args.tmax!r}", EXIT_INVALID)
-    if not (t_max > t_min > 0):
-        raise CliError("need tmax > tmin > 0", EXIT_INVALID)
+    t_max = tmax[0] * tau if tmax[1] else tmax[0]
+    if tmin is None:
+        t_min = max(t_max / args.samples, t_floor)
+    else:
+        t_min = tmin[0] * tau if tmin[1] else tmin[0]
+    if not (t_max > t_min > 0 and t_min >= t_floor):
+        raise CliError(f"need tmax > tmin > 0, and tmin >= {DEFAULT_QUAD.t_min} with --oracle",
+                       EXIT_INVALID)
     if args.spacing == "log":
         grid = np.geomspace(t_min, t_max, args.samples)
     else:
@@ -141,16 +149,11 @@ def cmd_scan(args) -> int:
                        EXIT_INVALID)
     if args.family == 0:
         raise CliError("--family must be a nonzero signed index", EXIT_INVALID)
+    traj = _trajectory(args.a, args.family, b_lo, b_hi, args.steps)
     if args.trajectory_out:
-        pot0 = DeltaShellPotential(b=b_lo, a=args.a)
-        n_req = max(abs(args.family) + 1, 2)
-        pole0 = find_poles(pot0, n_req, n_req).by_index(args.family)
-        traj = track_pole(pot0, pole0, b_lo, b_hi, args.steps)
         _write(args.trajectory_out, dsio.trajectory_to_csv(traj))
-    b_star, k_star = find_singularity(args.a, args.family, b_lo, b_hi, steps=args.steps)
+    b_star, k_star = _locate_crossing(traj)
     pot_star = DeltaShellPotential(b=b_star, a=args.a)
-    from .oracle import jost_function
-    from .poles import pole_equation_residual
     residuals = {
         "pole_equation": abs(pole_equation_residual(complex(k_star), pot_star)),
         "jost": abs(jost_function(complex(k_star), pot_star)),
@@ -214,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kc", type=float, default=None, help="sine-state wavenumber")
     p.add_argument("--tmax", default="5tau",
                    help="grid end; plain number or multiple of the lifetime like '40tau'")
-    p.add_argument("--tmin", default=None, help="grid start (default tmax/samples)")
+    p.add_argument("--tmin", default=None,
+                   help="grid start (default tmax/samples, with --oracle at least "
+                        f"the oracle's minimum time {DEFAULT_QUAD.t_min})")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
     p.add_argument("--n", type=int, default=40, help="pole pairs in the expansion")
@@ -253,8 +258,7 @@ def main(argv=None) -> int:
     except (NoCrossingError, NoTransitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
-    except (SolverError, CompletenessError, QuadratureError, TrajectoryLostError,
-            DeltaShellError) as exc:
+    except DeltaShellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # noqa: F401  unused; perfbench/tracing.py looks this name up
 from scipy.optimize import brentq
 
 from .basis import ResonantBasis, ResonantState, build_basis
@@ -30,34 +30,49 @@ ETA = 1.0 / cmath.sqrt(4j * math.pi)  # = e^{-i pi/4} / (2 sqrt(pi))
 OVERLAP_FALLBACK_REL = 1e-6
 
 
-def _overlap_quadrature(state: ResonantState, init: SineInitialState) -> complex:
-    f_re = lambda r: (init.amplitude(r) * state.eval(r)).real
-    f_im = lambda r: (init.amplitude(r) * state.eval(r)).imag
-    re = quad(f_re, 0.0, init.a, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-    im = quad(f_im, 0.0, init.a, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-    return complex(re, im)
+def _pole_sum(w, k, t):
+    """sum_p w_p e^{-i k_p^2 t} at a scalar t, or the array of sums on an array of times."""
+    out = np.exp(np.multiply.outer(t, -1j * k * k)) @ w
+    return out if np.ndim(out) else complex(out)
 
 
-def overlap_coefficient(state: ResonantState, init: SineInitialState) -> complex:
-    """C_p = integral_0^a psi(r,0) u_p(r) dr.
+def _overlap_quadrature(k, A, init: SineInitialState):
+    """integral_0^a psi(r,0) A_p sin(k_p r) dr for arrays k_p, A_p by one Gauss-Legendre rule.
+
+    Independent of the closed form. The integrand is entire in r and
+    oscillates at most at |k_p| + k_c over [0, a]; that sets the node count,
+    with 16 nodes to spare.
+    """
+    h = init.a / 2
+    n_nodes = int((np.max(np.abs(k), initial=0) + init.k_c) * h) + 16
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    r = h * (x + 1)
+    return h * A * (np.sin(np.multiply.outer(k, r)) @ (w * init.amplitude(r)))
+
+
+def _overlaps(k, A, init: SineInitialState):
+    """C_p for arrays k_p, A_p, and the mask of the C_p done by quadrature.
 
     Uses the closed form
         N_c A_p [-k_p sin(k_c a) cos(k_p a) + k_c sin(k_p a) cos(k_c a)] / (k_p^2 - k_c^2)
-    and falls back to direct quadrature when k_p^2 is within 1e-6 k_c^2 of
-    k_c^2, where the closed form cancels catastrophically (this happens for
-    the spectral-singularity pole when the initial state is tuned to it).
+    and falls back to quadrature when k_p^2 is within 1e-6 k_c^2 of k_c^2,
+    where the closed form cancels catastrophically (this happens for the
+    spectral-singularity pole when the initial state is tuned to it).
     """
-    value, _ = _overlap_with_provenance(state, init)
-    return value
-
-
-def _overlap_with_provenance(state: ResonantState, init: SineInitialState):
-    k, kc, a = state.pole.k, init.k_c, init.a
+    kc, a = init.k_c, init.a
     den = k * k - kc * kc
-    if abs(den) < OVERLAP_FALLBACK_REL * kc * kc:
-        return _overlap_quadrature(state, init), "quadrature"
-    num = -k * math.sin(kc * a) * cmath.cos(k * a) + kc * cmath.sin(k * a) * math.cos(kc * a)
-    return init.N_c * state.A * num / den, "closed_form"
+    near = np.abs(den) < OVERLAP_FALLBACK_REL * kc * kc
+    num = -k * math.sin(kc * a) * np.cos(k * a) + kc * np.sin(k * a) * math.cos(kc * a)
+    c = init.N_c * A * num / np.where(near, 1.0, den)
+    if near.any():
+        c[near] = _overlap_quadrature(k[near], A[near], init)
+    return c, near
+
+
+def overlap_coefficient(state: ResonantState, init: SineInitialState) -> complex:
+    """C_p = integral_0^a psi(r,0) u_p(r) dr, in closed form where it is well conditioned."""
+    c, _ = _overlaps(np.array([state.pole.k]), np.array([state.A]), init)
+    return complex(c[0])
 
 
 @dataclass(frozen=True)
@@ -94,15 +109,27 @@ class OverlapSet:
 
 
 def build_overlaps(basis: ResonantBasis, init: SineInitialState) -> OverlapSet:
-    proper, improper, prov = [], [], []
-    for st_m, st_p in basis.pairs(basis.n_pairs):
-        cm, tag_m = _overlap_with_provenance(st_m, init)
-        cp, tag_p = _overlap_with_provenance(st_p, init)
-        improper.append(cm)
-        proper.append(cp)
-        prov.append((tag_m, tag_p))
-    return OverlapSet(initial_state=init, proper=tuple(proper), improper=tuple(improper),
-                      provenance=tuple(prov))
+    k, A = basis._arrays(basis.n_pairs)
+    c, near = _overlaps(k, A, init)
+    tag = ("closed_form", "quadrature")
+    return OverlapSet(initial_state=init, proper=tuple(complex(x) for x in c[0]),
+                      improper=tuple(complex(x) for x in c[1]),
+                      provenance=tuple((tag[m], tag[p]) for p, m in zip(*near.tolist())))
+
+
+def _ordered_pair_sum(coeffs: OverlapSet, N: int, divisor) -> complex:
+    """sum_{p=1..N} [C_{-p}Cbar_{-p}/divisor(-p) + C_p Cbar_p/divisor(p)].
+
+    Summation order fixed: ascending p, improper before proper, in Python
+    complex arithmetic, so the result is reproducible to the last bit.
+    """
+    if N > coeffs.n_pairs:
+        raise ValueError(f"only {coeffs.n_pairs} coefficient pairs available")
+    total = 0j
+    for p in range(1, N + 1):
+        total += coeffs.pair_product(-p) / divisor(-p)
+        total += coeffs.pair_product(p) / divisor(p)
+    return total
 
 
 def closure_sum(coeffs: OverlapSet, N: int) -> complex:
@@ -112,27 +139,27 @@ def closure_sum(coeffs: OverlapSet, N: int) -> complex:
     with psi(a) != 0 converge to 1 + i psi(a)^2/(2b) instead (boundary-corner
     anomaly of the closure relation).
     """
-    if N > coeffs.n_pairs:
-        raise ValueError(f"only {coeffs.n_pairs} coefficient pairs available")
-    total = 0j
-    for p in range(1, N + 1):
-        total += coeffs.pair_product(p) + coeffs.pair_product(-p)
-    return total / 2
+    return _ordered_pair_sum(coeffs, N, lambda p: 1) / 2
 
 
 def tail_coefficient(coeffs: OverlapSet, poles: PoleSet, N: Optional[int] = None) -> complex:
     """D = sum_{p=1..N} [C_{-p}Cbar_{-p}/(2 k_{-p}^3) + C_p Cbar_p/(2 k_p^3)].
 
-    The t^{-3/2} amplitude is -eta * D * t^{-3/2}. Summation order fixed:
-    ascending p, improper before proper.
+    The t^{-3/2} amplitude is -eta * D * t^{-3/2}.
     """
     if N is None:
         N = coeffs.n_pairs
-    total = 0j
-    for p in range(1, N + 1):
-        total += coeffs.pair_product(-p) / (2 * poles.by_index(-p).k ** 3)
-        total += coeffs.pair_product(p) / (2 * poles.by_index(p).k ** 3)
-    return total
+    return _ordered_pair_sum(coeffs, N, lambda p: 2 * poles.by_index(p).k ** 3)
+
+
+def _amplitude(coeffs: OverlapSet, poles: PoleSet, t, N: Optional[int]):
+    """(A, A_exp, A_tail) at a scalar time or on an array of times."""
+    if N is None:
+        N = coeffs.n_pairs
+    A_tail = -ETA * tail_coefficient(coeffs, poles, N) * t ** -1.5
+    c = np.array(coeffs.proper[:N])
+    A_exp = _pole_sum(c * c, np.array([p.k for p in poles.proper[:N]]), t)
+    return A_exp + A_tail, A_exp, A_tail
 
 
 def survival_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float,
@@ -140,15 +167,7 @@ def survival_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float,
     """(A, A_exp, A_tail) at a single positive time."""
     if t <= 0:
         raise ValueError("the expansion represents t > 0 only")
-    if N is None:
-        N = coeffs.n_pairs
-    A_exp = 0j
-    for p in range(1, N + 1):
-        pole = poles.by_index(p)
-        A_exp += coeffs.pair_product(p) * cmath.exp(
-            -1j * pole.resonance_position * t - pole.width * t / 2)
-    A_tail = -ETA * tail_coefficient(coeffs, poles, N) * t ** -1.5
-    return A_exp + A_tail, A_exp, A_tail
+    return _amplitude(coeffs, poles, t, N)
 
 
 @dataclass
@@ -209,16 +228,10 @@ def survival_series(pot: DeltaShellPotential, init: SineInitialState,
         raise ValueError("time grid must be strictly increasing and positive")
     if context is None:
         context = build_expansion(pot, init, N)
-    coeffs, poles = context.overlaps, context.pole_set
-    tau = lifetime(poles)
-    A_exp = np.zeros(t_grid.shape, dtype=complex)
-    for p in range(1, N + 1):
-        pole = poles.by_index(p)
-        A_exp += coeffs.pair_product(p) * np.exp(
-            (-1j * pole.resonance_position - pole.width / 2) * t_grid)
-    A_tail = -ETA * tail_coefficient(coeffs, poles, N) * t_grid ** -1.5
+    tau = lifetime(context.pole_set)
+    A, A_exp, A_tail = _amplitude(context.overlaps, context.pole_set, t_grid, N)
     return SurvivalSeries(potential=pot, initial_state=init, lifetime=tau,
-                          t=t_grid, A=A_exp + A_tail, A_exp=A_exp, A_tail=A_tail)
+                          t=t_grid, A=A, A_exp=A_exp, A_tail=A_tail)
 
 
 def wavefunction(context: ExpansionContext, r: float, t: float,
@@ -251,12 +264,8 @@ def two_pole_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float) -> complex:
     """
     if coeffs.n_pairs < 5 or poles.n_proper < 5:
         raise ValueError("two-pole approximation needs coefficients for p = 4, 5")
-    out = 0j
-    for p in (4, 5):
-        pole = poles.by_index(p)
-        out += coeffs.pair_product(p) * cmath.exp(
-            -1j * pole.resonance_position * t - pole.width * t / 2)
-    return out
+    c = np.array(coeffs.proper[3:5])
+    return _pole_sum(c * c, np.array([poles.by_index(p).k for p in (4, 5)]), t)
 
 
 def lifetime(poles: PoleSet) -> float:

@@ -66,8 +66,3 @@ def box_state(q: int, a: float = 1.0) -> SineInitialState:
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ValueError(f"box mode number must be a positive integer, got {q}")
     return SineInitialState(k_c=q * math.pi / a, N_c=math.sqrt(2.0 / a), a=a)
-
-
-def initial_state_eval(state: SineInitialState, r):
-    """Functional alias for :meth:`SineInitialState.amplitude`."""
-    return state.amplitude(r)

@@ -24,11 +24,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .basis import ResonantState
+from .basis import ResonantState, _state_products
 from .errors import NearPoleError, QuadratureError, SolverError
 from .model import DeltaShellPotential, SineInitialState
-from .poles import Pole, PoleSet, find_poles
-from .expansion import _overlap_quadrature
+from .poles import ACCEPT_TOL, Pole, PoleSet, find_poles, residual_noise_floor
+from .expansion import (SurvivalSeries, _overlap_quadrature, _overlaps, _pole_sum,
+                        lifetime)
 
 GAMMA_ROTATION = cmath.exp(-1j * math.pi / 4)  # sqrt(-i), principal branch
 NEAR_POLE_TOL = 1e-13
@@ -104,18 +105,6 @@ def green_function(r: float, rp: float, k: complex, pot: DeltaShellPotential) ->
     return -_phi_regular(k, rlo, pot) * _f_jost_solution(k, rhi, pot) / F
 
 
-@dataclass(frozen=True)
-class GreenEvaluation:
-    r: float
-    rp: float
-    k: complex
-    value: complex
-
-    @classmethod
-    def compute(cls, r, rp, k, pot) -> "GreenEvaluation":
-        return cls(r=r, rp=rp, k=k, value=green_function(r, rp, k, pot))
-
-
 def residue_at_pole(pole_k: complex, r: float, rp: float, pot: DeltaShellPotential,
                     radius: float = 0.05, n_nodes: int = 128) -> complex:
     """Numerical residue of G+ at a pole by a midpoint-trapezoid circular contour."""
@@ -128,10 +117,20 @@ def residue_at_pole(pole_k: complex, r: float, rp: float, pot: DeltaShellPotenti
     return total / n_nodes
 
 
-def _complex_quad(func, lo, hi, quad_settings: QuadratureSettings, points=None):
+def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
+    """(1/pi) integral_{-Z}^{Z} f(gamma z) e^{-z^2 t} z dz on the rotated ray, Z^2 = lam/t."""
+    if t < quad_settings.t_min:
+        raise ValueError(f"t={t} below the supported minimum {quad_settings.t_min}")
+    Z = math.sqrt(quad_settings.lam / t)
+
+    def integrand(z):
+        if z == 0.0:
+            return 0j
+        return z * math.exp(-z * z * t) * f(GAMMA_ROTATION * z)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(func, lo, hi, complex_func=True, points=points,
+        value, err = quad(integrand, -Z, Z, complex_func=True, points=[0.0],
                           epsabs=quad_settings.epsabs, epsrel=quad_settings.epsrel,
                           limit=quad_settings.limit)
     estimate = abs(err)
@@ -139,7 +138,7 @@ def _complex_quad(func, lo, hi, quad_settings: QuadratureSettings, points=None):
         raise QuadratureError(
             f"contour quadrature error estimate {estimate:.2e} exceeds "
             f"{quad_settings.max_error:.2e}", value=value, estimate=estimate)
-    return value
+    return value / math.pi
 
 
 @lru_cache(maxsize=64)
@@ -168,9 +167,7 @@ def _extended_proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
     for _ in range(60):
         e2 = np.exp(2j * k * a)
         f = 2 * k - b * (e2 - 1)
-        # argument-reduction noise floor of the residual grows ~ |k| eps
-        floor = 2.3e-16 * (np.abs(2 * k) + b * (1 + np.abs(e2)) * (2 * np.abs(k) * a + 2))
-        if np.all(np.abs(f) < np.maximum(1e-12, 8 * floor)):
+        if np.all(np.abs(f) < np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, pot))):
             break
         fp = 2 - 2j * a * b * e2
         k = k - f / fp
@@ -185,8 +182,13 @@ def _extended_proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _proper_states(pot: DeltaShellPotential, n: int) -> tuple:
-    return tuple(ResonantState.build(p, pot) for p in _extended_proper_poles(pot, n))
+def _state_arrays(pot: DeltaShellPotential, n: int):
+    """(k_p, A_p) of the first n proper states as read-only arrays (they are cached)."""
+    states = [ResonantState.build(p, pot) for p in _extended_proper_poles(pot, n)]
+    k = np.array([st.pole.k for st in states], dtype=complex)
+    A = np.array([st.A for st in states], dtype=complex)
+    k.flags.writeable = A.flags.writeable = False
+    return k, A
 
 
 def propagator(r: float, rp: float, t: float, pot: DeltaShellPotential,
@@ -197,23 +199,11 @@ def propagator(r: float, rp: float, t: float, pot: DeltaShellPotential,
     cutoff contribute nothing, so N = 40 is converged for t of order the
     lifetime. N = 0 skips the residue sum (free-particle-like potentials).
     """
-    a = pot.a
-    if r > a or rp > a:
+    if r > pot.a or rp > pot.a:
         raise ValueError("propagator supported inside the interaction region")
-    if t < quad_settings.t_min:
-        raise ValueError(f"t={t} below the supported minimum {quad_settings.t_min}")
-    total = 0j
-    for st in _proper_states(pot, N):
-        total += st(r) * st(rp) * cmath.exp(-1j * st.pole.k ** 2 * t)
-    Z = math.sqrt(quad_settings.lam / t)
-
-    def integrand(z):
-        if z == 0.0:
-            return 0j
-        return z * math.exp(-z * z * t) * green_function(r, rp, GAMMA_ROTATION * z, pot)
-
-    total += _complex_quad(integrand, -Z, Z, quad_settings, points=[0.0]) / math.pi
-    return total
+    ray = _ray_integral(lambda k: green_function(r, rp, k, pot), t, quad_settings)
+    k, A = _state_arrays(pot, N)
+    return _pole_sum(_state_products(k, A, r, rp), k, t) + ray
 
 
 def resolvent_matrix_element(k: complex, pot: DeltaShellPotential,
@@ -246,60 +236,47 @@ def resolvent_matrix_element(k: complex, pot: DeltaShellPotential,
 
 
 @lru_cache(maxsize=32)
-def _oracle_overlaps(pot: DeltaShellPotential, init: SineInitialState, n: int) -> tuple:
-    """Squared overlaps c_p^2 of the initial state with the proper states.
+def _oracle_overlaps(pot: DeltaShellPotential, init: SineInitialState, n: int):
+    """Squared overlaps c_p^2 of the initial state with the first n proper states.
 
-    The first 60 are computed by direct numerical quadrature (independent of
-    the expansion module's closed form); the deep tail, which only matters
-    for sub-lifetime completeness checks, uses the closed form.
+    The first 60 are computed by quadrature (independent of the expansion
+    module's closed form); the deep tail, which only matters for
+    sub-lifetime completeness checks, uses the closed form.
     """
-    states = _proper_states(pot, n)
-    out = []
-    for i, st in enumerate(states):
-        if i < 60:
-            c = _overlap_quadrature(st, init)
-        else:
-            k = st.pole.k
-            num = (-k * math.sin(init.k_c * pot.a) * cmath.cos(k * pot.a)
-                   + init.k_c * cmath.sin(k * pot.a) * math.cos(init.k_c * pot.a))
-            c = init.N_c * st.A * num / (k * k - init.k_c ** 2)
-        out.append(c * c)
-    return tuple(out)
+    k, A = _state_arrays(pot, n)
+    c = np.concatenate([_overlap_quadrature(k[:60], A[:60], init),
+                        _overlaps(k[60:], A[60:], init)[0]])
+    c2 = c * c
+    c2.flags.writeable = False  # cached and shared between calls
+    return c2
+
+
+def _exact_parts(pot: DeltaShellPotential, init: SineInitialState, t: float, N: int,
+                 quad_settings: QuadratureSettings):
+    """(proper-pole residue sum, rotated-ray integral) of the exact survival amplitude."""
+    ray = _ray_integral(lambda k: resolvent_matrix_element(k, pot, init), t, quad_settings)
+    return _pole_sum(_oracle_overlaps(pot, init, N), _state_arrays(pot, N)[0], t), ray
 
 
 def survival_amplitude_exact(pot: DeltaShellPotential, init: SineInitialState, t: float,
                              N: int = 40,
                              quad_settings: QuadratureSettings = DEFAULT_QUAD) -> complex:
     """A(t) = <psi(0)| g(t) |psi(0)> with the double space integral done analytically."""
-    if t < quad_settings.t_min:
-        raise ValueError(f"t={t} below the supported minimum {quad_settings.t_min}")
-    total = 0j
-    if N > 0:
-        c2 = _oracle_overlaps(pot, init, N)
-        poles = _extended_proper_poles(pot, N)
-        for c2_p, pole in zip(c2, poles):
-            total += c2_p * cmath.exp(-1j * pole.k ** 2 * t)
-    Z = math.sqrt(quad_settings.lam / t)
-
-    def integrand(z):
-        if z == 0.0:
-            return 0j
-        return z * math.exp(-z * z * t) * resolvent_matrix_element(
-            GAMMA_ROTATION * z, pot, init)
-
-    total += _complex_quad(integrand, -Z, Z, quad_settings, points=[0.0]) / math.pi
-    return total
+    residues, ray = _exact_parts(pot, init, t, N, quad_settings)
+    return residues + ray
 
 
 def exact_survival_series(pot: DeltaShellPotential, init: SineInitialState, t_grid,
                           N: int = 40,
                           quad_settings: QuadratureSettings = DEFAULT_QUAD):
-    """S_exact on a grid, packaged like the expansion series (source = 'oracle')."""
-    from .expansion import SurvivalSeries, lifetime
+    """S_exact on a grid, packaged like the expansion series (source = 'oracle').
+
+    A_exp is the proper-pole residue sum and A_tail the rotated-ray integral.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
-    A = np.array([survival_amplitude_exact(pot, init, t, N, quad_settings)
-                  for t in t_grid])
+    A_exp, A_tail = np.array([_exact_parts(pot, init, t, N, quad_settings)
+                              for t in t_grid]).reshape(-1, 2).T
     tau = lifetime(_cached_pole_set(pot, max(N, 1), 1))
-    zeros = np.zeros_like(A)
     return SurvivalSeries(potential=pot, initial_state=init, lifetime=tau,
-                          t=t_grid, A=A, A_exp=A, A_tail=zeros, source="oracle")
+                          t=t_grid, A=A_exp + A_tail, A_exp=A_exp, A_tail=A_tail,
+                          source="oracle")

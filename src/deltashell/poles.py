@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import BoundaryRootError, CompletenessError, SolverError
 from .model import DeltaShellPotential
 
@@ -56,15 +58,15 @@ def _reduced_residual(k: complex, pot: DeltaShellPotential) -> complex:
     return (2 * k - b * (cmath.exp(2j * k * a) - 1)) / k
 
 
-def residual_noise_floor(k: complex, pot: DeltaShellPotential) -> float:
-    """Double-precision evaluation noise of the pole-equation residual at k.
+def residual_noise_floor(k, pot: DeltaShellPotential):
+    """Double-precision evaluation noise of the pole-equation residual at k (or an array).
 
     Dominated by argument reduction in exp(2ika): the phase 2|k|a is known
     only to machine epsilon relative, so the exponential term's absolute
     error grows linearly with |k|. Root positions remain accurate to
     ~noise/|f'|, a few ulps.
     """
-    mag = abs(pot.b) * (1.0 + abs(cmath.exp(2j * k * pot.a)))
+    mag = abs(pot.b) * (1.0 + abs(np.exp(2j * k * pot.a)))
     return 2.3e-16 * (abs(2 * k) + mag * (2 * abs(k) * pot.a + 2.0))
 
 

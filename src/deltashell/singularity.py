@@ -92,29 +92,35 @@ def find_singularity(a: float, family: int, b_lo: float, b_hi: float,
     Im k(b) refines the crossing to |Im k*| < 1e-10. Raises NoCrossingError
     when the trajectory keeps a single sign of Im k across the bracket.
     """
+    return _locate_crossing(_trajectory(a, family, b_lo, b_hi, steps, n_poles))
+
+
+def _trajectory(a: float, family: int, b_lo: float, b_hi: float, steps: int,
+                n_poles: Optional[int] = None) -> PoleTrajectory:
+    """The family's pole tracked from b_lo to b_hi, identified by its index at b_lo."""
     if not (b_hi > b_lo > 0):
         raise ValueError(f"bad bracket [{b_lo}, {b_hi}]")
     if n_poles is None:
         n_poles = max(abs(family) + 1, 2)
     pot0 = DeltaShellPotential(b=b_lo, a=a)
     pole0 = find_poles(pot0, n_poles, n_poles).by_index(family)
-    traj = track_pole(pot0, pole0, b_lo, b_hi, steps)
-    bracket = None
+    return track_pole(pot0, pole0, b_lo, b_hi, steps)
+
+
+def _locate_crossing(traj: PoleTrajectory) -> tuple:
+    """Bisect the trajectory's sign change of Im k to (b*, k*); sets traj.crossing."""
     for (b1, k1), (b2, k2) in zip(traj.samples[:-1], traj.samples[1:]):
         if k1.imag == 0.0:
-            bracket = None
             traj.crossing = (b1, k1.real)
             return b1, k1.real
         if k1.imag * k2.imag < 0:
-            bracket = (b1, k1, b2, k2)
             break
-    if bracket is None:
-        raise NoCrossingError(
-            f"family {family}: Im k keeps one sign on [{b_lo}, {b_hi}]")
-    b1, k1, b2, k2 = bracket
+    else:
+        raise NoCrossingError(f"family {traj.family}: Im k keeps one sign on "
+                              f"[{traj.samples[0][0]}, {traj.samples[-1][0]}]")
     for _ in range(200):
         bm = 0.5 * (b1 + b2)
-        km = _polish(bm, a, k1)
+        km = _polish(bm, traj.a, k1)
         if abs(km.imag) < IM_TOL:
             traj.crossing = (bm, km.real)
             return bm, km.real
@@ -124,7 +130,7 @@ def find_singularity(a: float, family: int, b_lo: float, b_hi: float,
             b2, k2 = bm, km
     # bracket collapsed to rounding width; polish once more at the midpoint
     bm = 0.5 * (b1 + b2)
-    km = _polish(bm, a, k1)
+    km = _polish(bm, traj.a, k1)
     if abs(km.imag) < IM_TOL:
         traj.crossing = (bm, km.real)
         return bm, km.real

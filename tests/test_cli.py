@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from deltashell import cli, expansion, singularity
 from deltashell.cli import main
 
 from reference_values import REFERENCE_POLES
@@ -88,10 +89,30 @@ def test_survival_oracle_column(tmp_path):
         assert abs(s_exp - s_orc) / s_orc < 0.01
 
 
-def test_survival_validation(capsys):
+def test_survival_oracle_default_grid(tmp_path):
+    """The README's oracle example: the grid starts at the oracle's minimum time."""
+    out = tmp_path / "so.json"
+    assert run(["survival", "--q", "1", "--oracle", "--samples", "50",
+                "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["t_min"] == 0.05
+    assert len(doc["data"]["S_oracle"]) == 50
+
+
+def test_survival_validation(capsys, monkeypatch):
     assert run(["survival", "--q", "1", "--kc", "3.0"]) == 2
     assert run(["survival", "--q", "0"]) == 2
     assert run(["survival", "--q", "1", "--tmax", "banana"]) == 2
+    assert run(["survival", "--q", "1", "--tmin", "apple"]) == 2
+    assert "'apple'" in capsys.readouterr().err
+    assert run(["survival", "--q", "1", "--oracle", "--tmin", "0.01tau"]) == 2
+    capsys.readouterr()
+    # a plain --tmin below the oracle's minimum is rejected before any solve
+    solves = []
+    monkeypatch.setattr(expansion, "find_poles", lambda *args: solves.append(args))
+    assert run(["survival", "--q", "1", "--oracle", "--tmin", "0.01"]) == 2
+    assert "minimum time 0.05" in capsys.readouterr().err
+    assert solves == []
 
 
 def test_survival_json(tmp_path):
@@ -105,11 +126,25 @@ def test_survival_json(tmp_path):
                                         "S_exp_only", "S_tail_only"]
 
 
-def test_scan_finds_singularity(tmp_path):
+def test_scan_finds_singularity(tmp_path, monkeypatch):
     out = tmp_path / "scan.json"
     traj = tmp_path / "traj.csv"
+    solves = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            solves.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every binding the scan could reach, so a second solve anywhere is counted
+    for mod in (cli, singularity):
+        for name in ("find_poles", "track_pole"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
     assert run(["scan", "--family", "-5", "--b-range", "13:15",
                 "--out", str(out), "--trajectory-out", str(traj)]) == 0
+    assert sorted(solves) == ["find_poles", "track_pole"]
     doc = json.loads(out.read_text())
     assert doc["b_star"] == pytest.approx(4.5 * math.pi, abs=1e-3)
     assert doc["k_star"] == pytest.approx(-4.5 * math.pi, abs=1e-3)

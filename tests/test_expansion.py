@@ -1,15 +1,18 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from deltashell import (OverlapSet, box_state, closure_sum, lifetime,
+from deltashell import (DeltaShellPotential, OverlapSet, ResonantState, SineInitialState,
+                        box_state, build_basis, closure_sum, find_poles, lifetime,
                         overlap_coefficient, survival_amplitude, survival_series,
                         tail_coefficient, transition_time, two_pole_amplitude,
                         wavefunction)
 from deltashell.errors import NoTransitionError
-from deltashell.expansion import _overlap_quadrature, _overlap_with_provenance
+from deltashell.expansion import _overlap_quadrature, _overlaps
+from deltashell.oracle import _extended_proper_poles
 
 from reference_values import REFERENCE_BOX_DOMINANCE, REFERENCE_OVERLAPS_SS
 
@@ -19,21 +22,38 @@ def logslope(t, S, t1, t2):
     return np.polyfit(t[m], np.log(S[m]), 1)[0]
 
 
-def test_overlap_closed_form_vs_quadrature(ctx_q1):
-    for p in list(range(1, 11)) + [-1, -4, -7]:
-        st = ctx_q1.basis.state(p)
-        closed = overlap_coefficient(st, ctx_q1.initial_state)
-        direct = _overlap_quadrature(st, ctx_q1.initial_state)
-        assert abs(closed - direct) < 1e-9
+def _quad_overlap(st, init):
+    k, A = st.pole.k, st.A
+    f = lambda r: init.N_c * math.sin(init.k_c * r) * A * cmath.sin(k * r)
+    return quad(f, 0.0, init.a, complex_func=True, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0], ids=["a0.5", "a1", "a2"])
+@pytest.mark.parametrize("b", [3.0, 4.5 * math.pi, 60.0], ids=["b3", "b4.5pi", "b60"])
+def test_overlap_closed_form_vs_quadrature(b, a):
+    """Closed form and the Gauss-Legendre rule against scipy's adaptive quad,
+    over the first 60 proper states and 10 improper ones, for k_c a = 9 pi/2.
+    """
+    pot = DeltaShellPotential(b=b, a=a)
+    init = SineInitialState.from_wavenumber(4.5 * math.pi / a, a)
+    states = ([ResonantState.build(p, pot) for p in _extended_proper_poles(pot, 60)]
+              + list(build_basis(find_poles(pot, 10, 10)).improper))
+    ref = np.array([_quad_overlap(st, init) for st in states])
+    closed = np.array([overlap_coefficient(st, init) for st in states])
+    k = np.array([st.pole.k for st in states])
+    A = np.array([st.A for st in states])
+    gauss = _overlap_quadrature(k, A, init)
+    assert np.max(np.abs(closed - ref)) < 1e-12
+    assert np.max(np.abs(gauss - ref)) < 1e-12
 
 
 def test_overlap_fallback_provenance(ctx_ss):
     # the singular pole sits at k = -k_c exactly: closed form is 0/0 there
-    st_singular = ctx_ss.basis.state(-5)
-    _, tag = _overlap_with_provenance(st_singular, ctx_ss.initial_state)
-    assert tag == "quadrature"
-    _, tag_regular = _overlap_with_provenance(ctx_ss.basis.state(5), ctx_ss.initial_state)
-    assert tag_regular == "closed_form"
+    init = ctx_ss.initial_state
+    singular, regular = ctx_ss.basis.state(-5), ctx_ss.basis.state(5)
+    k = np.array([singular.pole.k, regular.pole.k])
+    _, near = _overlaps(k, np.array([singular.A, regular.A]), init)
+    assert near.tolist() == [True, False]
     assert ctx_ss.overlaps.provenance[4] == ("quadrature", "closed_form")
 
 
@@ -95,8 +115,18 @@ def test_survival_series_matches_pointwise(ctx_q1, pot9):
     for i, t in enumerate(grid):
         A, A_exp, A_tail = survival_amplitude(ctx_q1.overlaps, ctx_q1.pole_set, float(t))
         assert series.A[i] == pytest.approx(A, rel=1e-12)
+        assert series.A_exp[i] == pytest.approx(A_exp, rel=1e-12)
+        assert series.A_tail[i] == pytest.approx(A_tail, rel=1e-12)
         assert series.S[i] == pytest.approx(abs(A) ** 2, rel=1e-12)
+        # the per-pole loop over E_p and Gamma_p that the array kernel replaced
+        loop = sum(ctx_q1.overlaps.pair_product(p) * cmath.exp(
+            -1j * pole.resonance_position * t - pole.width * t / 2)
+            for p, pole in enumerate(ctx_q1.pole_set.proper, start=1))
+        assert A_exp == pytest.approx(loop, rel=1e-12)
     assert np.all(series.S >= 0)
+    # a one-point grid gives the scalar value
+    one = survival_series(pot9, ctx_q1.initial_state, grid[2:3], 40, context=ctx_q1)
+    assert one.A[0] == pytest.approx(series.A[2], rel=1e-12)
 
 
 def test_survival_series_grid_validation(ctx_q1, pot9):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from deltashell import (DeltaShellPotential, SineInitialState, box_state,
-                        initial_state_eval, normalization_constant)
+                        normalization_constant)
 
 
 def test_potential_validation():
@@ -46,7 +46,6 @@ def test_amplitude_values():
     assert state.amplitude(0.0) == 0.0
     assert state.amplitude(1.0) == pytest.approx(math.sqrt(2 / 2.0), rel=1e-14)
     assert state.amplitude(3.0) == 0.0  # compact support
-    assert initial_state_eval(state, 3.0) == 0.0
 
 
 def test_amplitude_vectorized():

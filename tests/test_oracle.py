@@ -224,7 +224,7 @@ def test_tilted_contour_referee(pot9, ctx_q6):
     for st in ctx_q6.basis.improper:
         k = st.pole.k
         if k.imag > abs(k.real) * math.tan(delta):
-            c = _overlap_quadrature(st, init)
+            c = _overlap_quadrature(np.array([k]), np.array([st.A]), init)[0]
             eigen += c * c * cmath.exp(-1j * k * k * t)
     tilted = hairpin + eigen
     ray = survival_amplitude_exact(pot9, init, t, N=60)
@@ -280,13 +280,6 @@ def test_exact_reproduces_oscillation_phases(pot9, ctx_ss):
         assert peak > s_exact(upper)
 
 
-def test_green_evaluation_record(pot9):
-    from deltashell import GreenEvaluation
-    ev = GreenEvaluation.compute(0.3, 0.6, 2.0 + 0j, pot9)
-    assert ev.value == green_function(0.3, 0.6, 2.0 + 0j, pot9)
-    assert (ev.r, ev.rp, ev.k) == (0.3, 0.6, 2.0 + 0j)
-
-
 def test_exact_survival_series_schema(pot9, ctx_q1):
     from deltashell import exact_survival_series
     tau = lifetime(ctx_q1.pole_set)
@@ -295,3 +288,7 @@ def test_exact_survival_series_schema(pot9, ctx_q1):
     assert len(series.S) == 2
     expected = abs(survival_amplitude_exact(pot9, ctx_q1.initial_state, tau, N=40)) ** 2
     assert series.S[0] == pytest.approx(expected, rel=1e-12)
+    # the proper-pole residue sum and the rotated-ray integral, not A and zero
+    assert np.all(series.A_exp + series.A_tail == series.A)
+    assert np.all(series.S_exp_only != series.S)
+    assert np.all(series.S_tail_only > 0)
