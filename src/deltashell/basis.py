@@ -90,12 +90,6 @@ class ResonantBasis:
             return self.improper[-p - 1]
         raise ValueError("state index 0 is reserved")
 
-    def pairs(self, N: int):
-        """Yield (improper_state, proper_state) for p = 1..N (fixed summation order)."""
-        self._arrays(N)  # raises for N > n_pairs
-        for i in range(N):
-            yield self.improper[i], self.proper[i]
-
     def _arrays(self, N: int):
         """(k_p, A_p) for p = +-1..+-N as (2, N) arrays, row 0 proper, row 1 improper."""
         if N > self.n_pairs:

@@ -82,11 +82,8 @@ def cmd_poles(args) -> int:
         raise CliError("--n must be >= 1", EXIT_INVALID)
     ps = find_poles(pot, args.n, args.n)
     basis = build_basis(ps) if args.states else None
-    if args.format == "json":
-        text = dsio.pole_set_to_json(ps, basis)
-    else:
-        text = dsio.pole_set_to_csv(ps, basis)
-    _write(args.out, text)
+    write = dsio.pole_set_to_json if args.format == "json" else dsio.pole_set_to_csv
+    _write(args.out, write(ps, basis))
     return EXIT_OK
 
 
@@ -127,11 +124,8 @@ def cmd_survival(args) -> int:
               "spacing": args.spacing, "t_min": float(grid[0]),
               "t_max": float(grid[-1]), "lifetime": tau, "seed": args.seed,
               "source": series.source}
-    if args.format == "json":
-        text = dsio.survival_to_json(series, config, oracle_S)
-    else:
-        text = dsio.survival_to_csv(series, config, oracle_S)
-    _write(args.out, text)
+    write = dsio.survival_to_json if args.format == "json" else dsio.survival_to_csv
+    _write(args.out, write(series, config, oracle_S))
     return EXIT_OK
 
 
@@ -173,11 +167,8 @@ def cmd_verify(args) -> int:
     doc = {"schema_version": dsio.SCHEMA_VERSION,
            "config": {"b": pot.b, "a": pot.a, "k_c": init.k_c, "n": args.n},
            "checks": [r.as_dict() for r in results],
-           "summary": {
-               "pass": sum(r.status == "pass" for r in results),
-               "fail": sum(r.status == "fail" for r in results),
-               "inconclusive": sum(r.status == "inconclusive" for r in results),
-           }}
+           "summary": {status: sum(r.status == status for r in results)
+                       for status in ("pass", "fail", "inconclusive")}}
     _write(args.out, json.dumps(doc, indent=2) + "\n")
     for r in results:
         if r.status == "inconclusive":
@@ -199,13 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=float, default=DEFAULT_B,
                        help="shell intensity (default 9*pi/2)")
         p.add_argument("--a", type=float, default=1.0, help="shell radius")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; every computation here is deterministic")
 
     p = sub.add_parser("poles", help="solve and tabulate the pole families")
     add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--n", type=int, default=10, help="poles per family")
     p.add_argument("--states", action="store_true",
                    help="append normalization amplitudes of the resonant states")
@@ -213,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survival", help="survival probability series")
     add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--q", type=int, default=None, help="box-mode initial state")
     p.add_argument("--kc", type=float, default=None, help="sine-state wavenumber")
     p.add_argument("--tmax", default="5tau",
@@ -225,6 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=40, help="pole pairs in the expansion")
     p.add_argument("--oracle", action="store_true",
                    help="append the exact contour-quadrature survival column")
+    p.add_argument("--seed", type=int, default=0,
+                   help="only recorded in the output's config; every computation "
+                        "here is deterministic")
     p.set_defaults(func=cmd_survival)
 
     p = sub.add_parser("scan", help="track a pole family in b and locate the axis crossing")
@@ -237,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the tracked trajectory CSV here")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("verify", help="run the structural-identity suite")
+    p = sub.add_parser("verify", help="run the structural-identity suite (JSON)")
     add_common(p)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--kc", type=float, default=None)

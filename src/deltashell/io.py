@@ -1,33 +1,57 @@
-"""CSV/JSON serialization for pole sets, survival series, trajectories.
+"""CSV/JSON serialization of the three output records: the pole table, the
+survival series and the singularity trajectory.
 
-Floats are written with repr(), the shortest representation that round-trips
-a double exactly, so serialize -> parse is bit-exact.
+Each record is built once as an ordered mapping of column name to cells, then
+handed either to the one CSV writer or to that record's JSON layout, so both
+formats carry the same columns in the same order. Cells are typed by their
+column, not by their value: `index` and `family` are ints, every other cell
+is a float. A float is written as repr(float), the shortest text that
+round-trips the double, so serialize -> parse is bit-exact.
 """
 from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .basis import ResonantBasis
 from .expansion import SurvivalSeries
-from .model import DeltaShellPotential
-from .poles import Pole, PoleSet
+from .poles import PoleSet
 from .singularity import PoleTrajectory
 
 SCHEMA_VERSION = 1
+INT_COLUMNS = ("index", "family")
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _typed(columns: dict) -> dict:
+    return {name: [int(v) for v in cells] if name in INT_COLUMNS
+            else np.asarray(cells, dtype=float).tolist()
+            for name, cells in columns.items()}
 
 
-def _config_header(config: dict) -> str:
-    lines = [f"# {key} = {config[key]}" for key in sorted(config)]
-    return "\n".join(lines)
+def _csv(header: dict, columns: dict) -> str:
+    """`# key = value` lines, the column names, then one row per record entry."""
+    lines = [f"# {key} = {value}" for key, value in header.items()]
+    lines.append(",".join(columns))
+    lines += (",".join(map(str, row)) for row in zip(*columns.values()))
+    return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------- pole sets
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
-POLE_COLUMNS = ["index", "re_k", "im_k", "resonance_position", "width"]
+
+def _pole_columns(ps: PoleSet, basis: ResonantBasis | None) -> dict:
+    poles = list(ps.improper) + list(ps.proper)
+    columns = {"index": [p.index for p in poles],
+               "re_k": [p.k.real for p in poles],
+               "im_k": [p.k.imag for p in poles],
+               "resonance_position": [p.resonance_position for p in poles],
+               "width": [p.width for p in poles]}
+    if basis is not None:
+        A = [basis.state(p.index).A for p in poles]
+        columns.update(re_A=[x.real for x in A], im_A=[x.imag for x in A])
+    return _typed(columns)
 
 
 def pole_set_to_csv(ps: PoleSet, basis: ResonantBasis | None = None) -> str:
@@ -36,130 +60,49 @@ def pole_set_to_csv(ps: PoleSet, basis: ResonantBasis | None = None) -> str:
     Passing the matching basis appends re_A, im_A columns of the state
     amplitudes.
     """
-    cols = list(POLE_COLUMNS) + (["re_A", "im_A"] if basis is not None else [])
-    lines = [f"# schema_version = {SCHEMA_VERSION}",
-             f"# b = {_fmt(ps.potential.b)}",
-             f"# a = {_fmt(ps.potential.a)}",
-             ",".join(cols)]
-    ordered = list(ps.improper) + list(ps.proper)
-    for pole in ordered:
-        row = [str(pole.index), _fmt(pole.k.real), _fmt(pole.k.imag),
-               _fmt(pole.resonance_position), _fmt(pole.width)]
-        if basis is not None:
-            A = basis.state(pole.index).A
-            row += [_fmt(A.real), _fmt(A.imag)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def pole_set_from_csv(text: str) -> PoleSet:
-    b = a = None
-    proper, improper = [], []
-    header_seen = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            key = key.strip()
-            if key == "b":
-                b = float(value)
-            elif key == "a":
-                a = float(value)
-            continue
-        if not header_seen:
-            header_seen = True  # column header
-            continue
-        parts = line.split(",")
-        pole = Pole(index=int(parts[0]), k=complex(float(parts[1]), float(parts[2])))
-        (proper if pole.index > 0 else improper).append(pole)
-    if b is None or a is None:
-        raise ValueError("pole CSV is missing the potential header")
-    proper.sort(key=lambda p: p.index)
-    improper.sort(key=lambda p: -p.index)
-    return PoleSet(potential=DeltaShellPotential(b=b, a=a),
-                   proper=tuple(proper), improper=tuple(improper))
+    header = {"schema_version": SCHEMA_VERSION,
+              "b": float(ps.potential.b), "a": float(ps.potential.a)}
+    return _csv(header, _pole_columns(ps, basis))
 
 
 def pole_set_to_json(ps: PoleSet, basis: ResonantBasis | None = None) -> str:
-    poles = []
-    for pole in list(ps.improper) + list(ps.proper):
-        entry = {"index": pole.index, "re_k": pole.k.real, "im_k": pole.k.imag,
-                 "resonance_position": pole.resonance_position, "width": pole.width}
-        if basis is not None:
-            A = basis.state(pole.index).A
-            entry["re_A"] = A.real
-            entry["im_A"] = A.imag
-        poles.append(entry)
-    doc = {"schema_version": SCHEMA_VERSION,
-           "potential": {"b": ps.potential.b, "a": ps.potential.a},
-           "poles": poles}
-    return json.dumps(doc, indent=2) + "\n"
+    columns = _pole_columns(ps, basis)
+    return _json({"schema_version": SCHEMA_VERSION,
+                  "potential": {"b": ps.potential.b, "a": ps.potential.a},
+                  "poles": [dict(zip(columns, row)) for row in zip(*columns.values())]})
 
 
-def pole_set_from_json(text: str) -> PoleSet:
-    doc = json.loads(text)
-    pot = DeltaShellPotential(b=doc["potential"]["b"], a=doc["potential"]["a"])
-    proper = [Pole(index=e["index"], k=complex(e["re_k"], e["im_k"]))
-              for e in doc["poles"] if e["index"] > 0]
-    improper = [Pole(index=e["index"], k=complex(e["re_k"], e["im_k"]))
-                for e in doc["poles"] if e["index"] < 0]
-    proper.sort(key=lambda p: p.index)
-    improper.sort(key=lambda p: -p.index)
-    return PoleSet(potential=pot, proper=tuple(proper), improper=tuple(improper))
-
-
-# ----------------------------------------------------------- survival series
-
-SURVIVAL_COLUMNS = ["t", "t_over_tau", "re_A", "im_A", "S", "S_exp_only", "S_tail_only"]
+def _survival_columns(series: SurvivalSeries, oracle_S) -> dict:
+    columns = {"t": series.t, "t_over_tau": series.t_over_tau,
+               "re_A": series.A.real, "im_A": series.A.imag, "S": series.S,
+               "S_exp_only": series.S_exp_only, "S_tail_only": series.S_tail_only}
+    if oracle_S is not None:
+        columns["S_oracle"] = oracle_S
+    return _typed(columns)
 
 
 def survival_to_csv(series: SurvivalSeries, config: dict, oracle_S=None) -> str:
     """Fixed-order survival table; oracle values, when given, append one column."""
-    cols = list(SURVIVAL_COLUMNS) + (["S_oracle"] if oracle_S is not None else [])
-    lines = [_config_header({"schema_version": SCHEMA_VERSION, **config}), ",".join(cols)]
-    for i in range(len(series.t)):
-        row = [_fmt(series.t[i]), _fmt(series.t_over_tau[i]),
-               _fmt(series.A[i].real), _fmt(series.A[i].imag),
-               _fmt(series.S[i]), _fmt(series.S_exp_only[i]), _fmt(series.S_tail_only[i])]
-        if oracle_S is not None:
-            row.append(_fmt(oracle_S[i]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = dict(sorted({"schema_version": SCHEMA_VERSION, **config}.items()))
+    return _csv(header, _survival_columns(series, oracle_S))
 
 
 def survival_to_json(series: SurvivalSeries, config: dict, oracle_S=None) -> str:
-    data = {
-        "t": [float(x) for x in series.t],
-        "t_over_tau": [float(x) for x in series.t_over_tau],
-        "re_A": [float(x.real) for x in series.A],
-        "im_A": [float(x.imag) for x in series.A],
-        "S": [float(x) for x in series.S],
-        "S_exp_only": [float(x) for x in series.S_exp_only],
-        "S_tail_only": [float(x) for x in series.S_tail_only],
-    }
-    if oracle_S is not None:
-        data["S_oracle"] = [float(x) for x in oracle_S]
-    doc = {"schema_version": SCHEMA_VERSION, "config": config,
-           "source": series.source, "lifetime": series.lifetime, "data": data}
-    return json.dumps(doc, indent=2) + "\n"
+    return _json({"schema_version": SCHEMA_VERSION, "config": config,
+                  "source": series.source, "lifetime": series.lifetime,
+                  "data": _survival_columns(series, oracle_S)})
 
-
-# ------------------------------------------------------------- singularities
 
 def trajectory_to_csv(traj: PoleTrajectory) -> str:
-    lines = [f"# schema_version = {SCHEMA_VERSION}",
-             f"# family = {traj.family}",
-             f"# a = {_fmt(traj.a)}",
-             "b,re_k,im_k,family"]
-    for b, k in traj.samples:
-        lines.append(f"{_fmt(b)},{_fmt(k.real)},{_fmt(k.imag)},{traj.family}")
-    return "\n".join(lines) + "\n"
+    header = {"schema_version": SCHEMA_VERSION, "family": traj.family, "a": float(traj.a)}
+    columns = {"b": [b for b, _ in traj.samples],
+               "re_k": [k.real for _, k in traj.samples],
+               "im_k": [k.imag for _, k in traj.samples],
+               "family": [traj.family] * len(traj.samples)}
+    return _csv(header, _typed(columns))
 
 
 def singularity_report_json(family: int, a: float, b_star: float, k_star: float,
                             residuals: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "family": family, "a": a,
-           "b_star": b_star, "k_star": k_star, "residuals": residuals}
-    return json.dumps(doc, indent=2) + "\n"
+    return _json({"schema_version": SCHEMA_VERSION, "family": family, "a": a,
+                  "b_star": b_star, "k_star": k_star, "residuals": residuals})

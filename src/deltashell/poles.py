@@ -22,6 +22,7 @@ ACCEPT_TOL = 1e-12
 DUPLICATE_TOL = 1e-8
 REAL_AXIS_TOL = 1e-9
 JITTER = 1e-6
+BETA_MARGIN = 5.0  # search depth below the real axis, in units of 1/a
 MAX_JITTER_RETRIES = 8
 # deterministic jitter directions, scaled by JITTER * rectangle diagonal
 _JITTER_SEQ = [1 + 1j, -1 + 2j, 2 - 1j, -2 - 2j, 1 - 3j, -3 + 1j, 3 + 2j, -1 - 1j]
@@ -70,6 +71,11 @@ def residual_noise_floor(k, pot: DeltaShellPotential):
     return 2.3e-16 * (abs(2 * k) + mag * (2 * abs(k) * pot.a + 2.0))
 
 
+def _acceptance_bound(k: complex, pot: DeltaShellPotential) -> float:
+    """Largest |residual| accepted at a root: ACCEPT_TOL or 8x the noise floor at k."""
+    return max(ACCEPT_TOL, 8 * residual_noise_floor(k, pot))
+
+
 def newton_polish(seed: complex, pot: DeltaShellPotential, tol: float = NEWTON_TOL,
                   max_iter: int = 100) -> complex:
     """Damped Newton iteration on the pole equation."""
@@ -100,8 +106,7 @@ def newton_polish(seed: complex, pot: DeltaShellPotential, tol: float = NEWTON_T
         if not improved:
             break  # at the floating-point noise floor; accept below if good enough
         k = k_next
-    if abs(pole_equation_residual(k, pot)) < max(ACCEPT_TOL,
-                                                 8 * residual_noise_floor(k, pot)):
+    if abs(pole_equation_residual(k, pot)) < _acceptance_bound(k, pot):
         return k
     raise SolverError(f"Newton did not converge from seed {seed}", seed=seed)
 
@@ -194,10 +199,6 @@ class Pole:
         return -self.k.imag
 
     @property
-    def energy(self) -> complex:
-        return self.k * self.k
-
-    @property
     def resonance_position(self) -> float:
         return self.alpha ** 2 - self.beta ** 2
 
@@ -247,10 +248,6 @@ class PoleSet:
     @property
     def n_proper(self) -> int:
         return len(self.proper)
-
-    @property
-    def n_improper(self) -> int:
-        return len(self.improper)
 
 
 def _subdivide_roots(rect, pot, expected, min_size=1e-10):
@@ -304,12 +301,11 @@ def _dedupe(roots):
     return out
 
 
-def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int,
-               beta_margin: float = 5.0) -> PoleSet:
+def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int) -> PoleSet:
     """First n_proper fourth-quadrant and n_improper left-half-plane poles.
 
-    Search regions: [0, (n_proper+1) pi/a] x [-beta_margin/a, 0] and
-    [-(n_improper+1) pi/a, 0] x [-beta_margin/a, +beta_margin/a]. Completeness
+    Search regions: [0, (n_proper+1) pi/a] x [-BETA_MARGIN/a, 0] and
+    [-(n_improper+1) pi/a, 0] x [-BETA_MARGIN/a, +BETA_MARGIN/a]. Completeness
     inside each region is certified by the argument principle before returning
     the first n poles of each family (sorted by |Re k|).
     """
@@ -317,8 +313,8 @@ def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int,
         raise ValueError("need at least one pole per family")
     a = pot.a
     regions = {
-        "proper": (0.0, (n_proper + 1) * math.pi / a, -beta_margin / a, 0.0),
-        "improper": (-(n_improper + 1) * math.pi / a, 0.0, -beta_margin / a, beta_margin / a),
+        "proper": (0.0, (n_proper + 1) * math.pi / a, -BETA_MARGIN / a, 0.0),
+        "improper": (-(n_improper + 1) * math.pi / a, 0.0, -BETA_MARGIN / a, BETA_MARGIN / a),
     }
     found = {}
     for name, rect in regions.items():
@@ -328,8 +324,7 @@ def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int,
             raise CompletenessError(
                 f"{name} region: winding count {expected} but {len(roots)} roots polished")
         bad = [k for k in roots
-               if abs(pole_equation_residual(k, pot)) >
-               max(ACCEPT_TOL, 8 * residual_noise_floor(k, pot))]
+               if abs(pole_equation_residual(k, pot)) > _acceptance_bound(k, pot)]
         if bad:
             raise SolverError(f"{name} region: unconverged roots {bad}")
         found[name] = roots

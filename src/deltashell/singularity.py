@@ -12,11 +12,10 @@ from typing import Optional
 
 from .errors import NoCrossingError, SolverError, TrajectoryLostError
 from .model import DeltaShellPotential
-from .poles import Pole, find_poles, newton_polish, pole_equation_residual
+from .poles import Pole, find_poles, newton_polish
 
 STEP_UNDERFLOW_FACTOR = 2 ** 20
 IM_TOL = 1e-10
-TRAJECTORY_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -34,27 +33,20 @@ class PoleTrajectory:
         return len(signs) == 2 or self.crossing is not None
 
 
-def _polish(b: float, a: float, seed: complex) -> complex:
-    pot = DeltaShellPotential(b=b, a=a)
-    k = newton_polish(seed, pot)
-    if abs(pole_equation_residual(k, pot)) > TRAJECTORY_RESIDUAL_TOL:
-        raise SolverError(f"trajectory sample at b={b} above residual tolerance", seed=seed)
-    return k
-
-
 def track_pole(pot0: DeltaShellPotential, pole0: Pole, b_from: float, b_to: float,
                steps: int) -> PoleTrajectory:
     """Continuation in b: the previous root seeds Newton at the next intensity.
 
     The step is halved whenever Newton fails or the root jumps by more than
     half the local inter-pole spacing (pi/(2a)); underflow below
-    (b_to - b_from)/2^20 raises TrajectoryLostError.
+    (b_to - b_from)/2^20 raises TrajectoryLostError. Each sample is accepted
+    by newton_polish's rule, the same one find_poles applies.
     """
     if steps < 2 and b_from != b_to:
         raise ValueError("need at least 2 steps")
     a = pot0.a
     traj = PoleTrajectory(family=pole0.index, a=a)
-    k = _polish(b_from, a, pole0.k)
+    k = newton_polish(pole0.k, DeltaShellPotential(b=b_from, a=a))
     traj.samples.append((b_from, k))
     if b_from == b_to:
         return traj
@@ -71,7 +63,7 @@ def track_pole(pot0: DeltaShellPotential, pole0: Pole, b_from: float, b_to: floa
             if (b_to - b_next) * math.copysign(1.0, b_to - b_from) < 0:
                 b_next = b_to
             try:
-                k_next = _polish(b_next, a, k)
+                k_next = newton_polish(k, DeltaShellPotential(b=b_next, a=a))
             except SolverError:
                 h /= 2
                 continue
@@ -118,20 +110,14 @@ def _locate_crossing(traj: PoleTrajectory) -> tuple:
     else:
         raise NoCrossingError(f"family {traj.family}: Im k keeps one sign on "
                               f"[{traj.samples[0][0]}, {traj.samples[-1][0]}]")
-    for _ in range(200):
+    for _ in range(201):  # 200 halvings reach rounding width; the last polishes its midpoint
         bm = 0.5 * (b1 + b2)
-        km = _polish(bm, traj.a, k1)
+        km = newton_polish(k1, DeltaShellPotential(b=bm, a=traj.a))
         if abs(km.imag) < IM_TOL:
             traj.crossing = (bm, km.real)
             return bm, km.real
         if km.imag * k1.imag > 0:
             b1, k1 = bm, km
         else:
-            b2, k2 = bm, km
-    # bracket collapsed to rounding width; polish once more at the midpoint
-    bm = 0.5 * (b1 + b2)
-    km = _polish(bm, traj.a, k1)
-    if abs(km.imag) < IM_TOL:
-        traj.crossing = (bm, km.real)
-        return bm, km.real
+            b2 = bm
     raise NoCrossingError(f"bisection stalled at b={bm}, Im k={km.imag:.2e}")

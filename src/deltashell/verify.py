@@ -17,7 +17,7 @@ from .expansion import build_expansion, closure_sum, lifetime, survival_amplitud
 from .model import DeltaShellPotential, SineInitialState, box_state
 from .oracle import (DEFAULT_QUAD, green_function, jost_function, residue_at_pole,
                      survival_amplitude_exact)
-from .poles import pole_equation_residual
+from .poles import _acceptance_bound, pole_equation_residual
 
 
 @dataclass
@@ -48,7 +48,9 @@ def run_verification(pot: DeltaShellPotential, init: SineInitialState | None = N
 
     results.append(_gate(
         "pole_equation_residual",
-        max(abs(pole_equation_residual(p.k, pot)) for p in poles), 1e-10))
+        max(abs(pole_equation_residual(p.k, pot)) / _acceptance_bound(p.k, pot)
+            for p in poles), 1.0,
+        note="worst |residual| / max(1e-12, 8 x noise floor), find_poles' acceptance rule"))
 
     results.append(_gate(
         "jost_zero_equivalence",

@@ -11,14 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from deltashell import (QuadratureSettings, SineInitialState, box_state,
-                        closure_sum, find_poles, find_singularity, green_function,
+from deltashell import (DeltaShellPotential, QuadratureSettings, SineInitialState,
+                        box_state, closure_sum, find_poles, find_singularity, green_function,
                         jost_function, lifetime, residue_at_pole,
                         resonance_parameters, survival_amplitude,
                         survival_amplitude_exact, survival_series, transition_time)
 from deltashell.basis import green_expansion
 from deltashell.cli import main as cli_main
 from deltashell.expansion import OverlapSet
+from deltashell.poles import newton_polish
 
 from reference_values import (REFERENCE_BOX_DOMINANCE, REFERENCE_OVERLAPS_SS,
                               REFERENCE_POLES, RESONANCE_E1, RESONANCE_G1,
@@ -58,8 +59,7 @@ def test_criterion_03_spectral_singularity(pot9):
     elapsed = time.perf_counter() - t0
     assert b_star == pytest.approx(B_REF, abs=1e-3)
     assert k_star == pytest.approx(-B_REF, abs=1e-3)
-    from deltashell.singularity import _polish
-    k_refined = _polish(b_star, 1.0, complex(k_star))
+    k_refined = newton_polish(complex(k_star), DeltaShellPotential(b=b_star, a=1.0))
     assert abs(k_refined.imag) < 1e-10
     beta_at_table_b = find_poles(pot9, 6, 6).by_index(-5).k.imag
     assert abs(beta_at_table_b) <= 2e-5

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +10,33 @@ from deltashell.cli import main
 from reference_values import REFERENCE_POLES
 
 B_REF = "14.137166941"
+GOLDEN = Path(__file__).parent / "golden"
+
+# command -> {output flag: golden file}; the files pin the CLI's bytes, and a
+# change that alters them on purpose regenerates them and says why
+GOLDEN_CASES = [
+    (["poles", "--n", "10"], {"--out": "poles_n10.csv"}),
+    (["poles", "--n", "6", "--states", "--format", "json"], {"--out": "poles_n6_states.json"}),
+    (["survival", "--q", "1", "--samples", "20"], {"--out": "survival_q1_samples20.csv"}),
+    (["survival", "--q", "2", "--oracle", "--tmin", "0.5tau", "--samples", "6",
+      "--format", "json"], {"--out": "survival_q2_oracle.json"}),
+    (["scan", "--family", "-5", "--b-range", "13:15"],
+     {"--out": "scan_family-5.json", "--trajectory-out": "scan_family-5_trajectory.csv"}),
+]
 
 
 def run(args):
     return main(args)
+
+
+@pytest.mark.parametrize("args,outputs", GOLDEN_CASES,
+                         ids=[case[1]["--out"] for case in GOLDEN_CASES])
+def test_cli_output_matches_golden_bytes(tmp_path, args, outputs):
+    for flag, name in outputs.items():
+        args = args + [flag, str(tmp_path / name)]
+    assert run(args) == 0
+    for name in outputs.values():
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_poles_table(tmp_path):
@@ -44,6 +68,15 @@ def test_poles_json_schema(tmp_path):
 def test_poles_rejects_negative_intensity(capsys):
     assert run(["poles", "--b", "-1"]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["poles", "--seed", "1"], ["verify", "--format", "csv"]])
+def test_options_only_where_read(args, capsys):
+    """Only survival reads --seed (it records it) and verify always writes JSON."""
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_poles_deterministic_output(tmp_path):

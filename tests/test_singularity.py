@@ -46,6 +46,19 @@ def test_find_singularity():
     assert abs(jost_function(complex(k_star), pot_star)) < 1e-9
 
 
+@pytest.mark.parametrize("a,family", [(1.0, -60), (0.5, -80), (1.0, -100)])
+def test_find_singularity_far_family(a, family):
+    """Family -n meets the axis where e^{2ika} = -1: b* = -k* = (2n - 1) pi / (2a).
+
+    Far out the residual's noise floor exceeds 1e-10, so every trajectory
+    sample must be accepted by newton_polish's noise-floor rule alone.
+    """
+    closed = (2 * abs(family) - 1) * math.pi / (2 * a)
+    b_star, k_star = find_singularity(a, family, closed - 1, closed + 1)
+    assert b_star == pytest.approx(closed, rel=1e-9)
+    assert k_star == pytest.approx(-closed, rel=1e-12)
+
+
 def test_find_singularity_scan_direction_symmetry():
     up, _ = find_singularity(1.0, -5, 13.0, 15.0)
     down, _ = find_singularity(1.0, -5, 13.5, 14.8)
