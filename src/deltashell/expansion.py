@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  unused; perfbench/tracing.py looks this name up
-from scipy.optimize import brentq
 
 from .basis import ResonantBasis, ResonantState, build_basis
 from .errors import NoTransitionError
@@ -28,6 +27,18 @@ from .poles import PoleSet, find_poles
 
 ETA = 1.0 / cmath.sqrt(4j * math.pi)  # = e^{-i pi/4} / (2 sqrt(pi))
 OVERLAP_FALLBACK_REL = 1e-6
+
+
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad with IntegrationWarning silenced: callers gate on the error estimate.
+
+    scipy.integrate is imported on the first call, so importing the package
+    loads no scipy; only the oracle's ray integral calls this.
+    """
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return scipy_quad(func, a, b, **kwargs)
 
 
 def _pole_sum(w, k, t):
@@ -279,8 +290,9 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
                     bracket_in_lifetimes=(1.0, 200.0)) -> float:
     """Time where the slowest exponential term equals the power-law term.
 
-    Solves |C_1 Cbar_1| e^{-G_1 t/2} = |eta D| t^{-3/2} by bracketed root
-    search on [tau, 200 tau]; past this time S(t) follows the t^{-3} law.
+    Solves |C_1 Cbar_1| e^{-G_1 t/2} = |eta D| t^{-3/2} by bracketed
+    bisection on [tau, 200 tau] down to 1e-12 tau; past this time S(t)
+    follows the t^{-3} law.
     """
     tau = lifetime(poles)
     g1 = poles.by_index(1).width
@@ -293,8 +305,15 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
         return (math.log(lhs_amp) - g1 * t / 2) - (math.log(rhs_amp) - 1.5 * math.log(t))
 
     lo, hi = bracket_in_lifetimes[0] * tau, bracket_in_lifetimes[1] * tau
-    if gap(lo) * gap(hi) > 0:
+    gap_lo = gap(lo)
+    if gap_lo * gap(hi) > 0:
         raise NoTransitionError(
             f"no exponential/power-law crossing in [{bracket_in_lifetimes[0]}, "
             f"{bracket_in_lifetimes[1]}] lifetimes")
-    return brentq(gap, lo, hi, xtol=1e-12 * tau, rtol=1e-14)
+    while hi - lo > 1e-12 * tau:
+        mid = 0.5 * (lo + hi)
+        if gap_lo * gap(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

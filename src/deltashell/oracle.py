@@ -17,19 +17,17 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .basis import ResonantState, _state_products
 from .errors import NearPoleError, QuadratureError, SolverError
 from .model import DeltaShellPotential, SineInitialState
 from .poles import ACCEPT_TOL, Pole, PoleSet, find_poles, residual_noise_floor
 from .expansion import (SurvivalSeries, _overlap_quadrature, _overlaps, _pole_sum,
-                        lifetime)
+                        lifetime, quad)
 
 GAMMA_ROTATION = cmath.exp(-1j * math.pi / 4)  # sqrt(-i), principal branch
 NEAR_POLE_TOL = 1e-13
@@ -128,11 +126,9 @@ def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
             return 0j
         return z * math.exp(-z * z * t) * f(GAMMA_ROTATION * z)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(integrand, -Z, Z, complex_func=True, points=[0.0],
-                          epsabs=quad_settings.epsabs, epsrel=quad_settings.epsrel,
-                          limit=quad_settings.limit)
+    value, err = quad(integrand, -Z, Z, complex_func=True, points=[0.0],
+                      epsabs=quad_settings.epsabs, epsrel=quad_settings.epsrel,
+                      limit=quad_settings.limit)
     estimate = abs(err)
     if estimate > quad_settings.max_error:
         raise QuadratureError(

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import deltashell
 from deltashell import cli, expansion, singularity
 from deltashell.cli import main
 
@@ -219,3 +223,52 @@ def test_verify_weak_shell(tmp_path, capsys):
     assert run(["verify", "--b", "0.1", "--n", "12", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["summary"]["fail"] == 0
+
+
+# run in a fresh interpreter, which prints the command's exit code (None for
+# a bare import) and the scipy modules loaded by then as its last line
+_PROBE = """import json, sys
+{body}
+print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))
+"""
+
+
+def _fresh_run(body):
+    src = str(Path(deltashell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(body=body)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _fresh_cli(args, out):
+    return _fresh_run(f"from deltashell.cli import main\ncode = main({args + ['--out', str(out)]!r})")
+
+
+def test_import_loads_no_scipy():
+    assert _fresh_run("import deltashell\ncode = None") == [None, []]
+
+
+@pytest.mark.parametrize("args", [["poles", "--n", "10"],
+                                  ["survival", "--q", "1", "--samples", "20"],
+                                  ["scan", "--family", "-5", "--b-range", "13:15"]],
+                         ids=["poles", "survival", "scan"])
+def test_commands_without_oracle_load_no_scipy(tmp_path, args):
+    assert _fresh_cli(args, tmp_path / "out") == [0, []]
+
+
+def test_oracle_loads_scipy_integrate_on_use(tmp_path):
+    code, loaded = _fresh_cli(["survival", "--q", "1", "--oracle", "--samples", "5"],
+                              tmp_path / "out")
+    assert code == 0
+    assert "scipy.integrate" in loaded
+
+
+@pytest.mark.parametrize("module", ["oracle", "expansion"])
+def test_lazy_quad_integrates_on_first_call(module):
+    (before, value), loaded = _fresh_run(
+        f"from deltashell import {module}\n"
+        f"code = ['scipy.integrate' in sys.modules, {module}.quad(lambda x: x * x, 0.0, 1.0)[0]]")
+    assert not before and "scipy.integrate" in loaded
+    assert value == pytest.approx(1 / 3, rel=1e-14)

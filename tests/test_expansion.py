@@ -1,9 +1,11 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import lambertw
 
 from deltashell import (DeltaShellPotential, OverlapSet, ResonantState, SineInitialState,
                         box_state, build_basis, closure_sum, find_poles, lifetime,
@@ -11,7 +13,7 @@ from deltashell import (DeltaShellPotential, OverlapSet, ResonantState, SineInit
                         tail_coefficient, transition_time, two_pole_amplitude,
                         wavefunction)
 from deltashell.errors import NoTransitionError
-from deltashell.expansion import _overlap_quadrature, _overlaps
+from deltashell.expansion import ETA, _overlap_quadrature, _overlaps, build_overlaps
 from deltashell.oracle import _extended_proper_poles
 
 from reference_values import REFERENCE_BOX_DOMINANCE, REFERENCE_OVERLAPS_SS
@@ -331,6 +333,37 @@ def test_transition_time_no_crossing(ctx_q1):
     with pytest.raises(NoTransitionError):
         transition_time(ctx_q1.overlaps, ctx_q1.pole_set,
                         bracket_in_lifetimes=(1.0, 2.0))
+
+
+TRANSITION_STATES = {"q1": box_state(1), "q2": box_state(2), "q3": box_state(3),
+                     "q6": box_state(6), "kc": SineInitialState.from_wavenumber(4.5 * math.pi)}
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_at(b):
+    return build_basis(find_poles(DeltaShellPotential(b=b, a=1.0), 40, 40))
+
+
+@pytest.mark.parametrize("state", list(TRANSITION_STATES))
+@pytest.mark.parametrize("b", [3.0, 4.5 * math.pi, 10.0, 30.0, 100.0, 224.0],
+                         ids=["b3", "b4.5pi", "b10", "b30", "b100", "b224"])
+def test_transition_time_matches_lambert_w(b, state):
+    """Referee: 1.5 ln t - G_1 t/2 = d, with d = ln|eta D| - ln|C_1^2|, has the
+    closed-form roots t = -(3/G_1) W_k(-(G_1/3) e^{2d/3}): the early crossing on
+    branch k = 0 and the late one on k = -1. transition_time returns the late
+    root when it is the only crossing in [tau, 200 tau] and raises otherwise.
+    """
+    basis = _basis_at(b)
+    poles, coeffs = basis.pole_set, build_overlaps(basis, TRANSITION_STATES[state])
+    tau, g1 = lifetime(poles), poles.by_index(1).width
+    d = math.log(abs(ETA * tail_coefficient(coeffs, poles))) - math.log(abs(coeffs.pair_product(1)))
+    arg = -(g1 / 3) * math.exp(2 * d / 3)
+    early, late = (-(3 / g1) * lambertw(arg, branch).real for branch in (0, -1))
+    if arg >= -1 / math.e and early < tau <= late <= 200 * tau:
+        assert transition_time(coeffs, poles) == pytest.approx(late, rel=1e-12, abs=0)
+    else:
+        with pytest.raises(NoTransitionError):
+            transition_time(coeffs, poles)
 
 
 def test_tail_coefficient_summation_order(ctx_q1):
