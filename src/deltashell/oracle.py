@@ -27,7 +27,7 @@ from .errors import NearPoleError, QuadratureError, SolverError
 from .model import DeltaShellPotential, SineInitialState
 from .poles import ACCEPT_TOL, Pole, PoleSet, find_poles, residual_noise_floor
 from .expansion import (SurvivalSeries, _overlap_quadrature, _overlaps, _pole_sum,
-                        lifetime, quad)
+                        _scalar_or_array, lifetime, quad)
 
 GAMMA_ROTATION = cmath.exp(-1j * math.pi / 4)  # sqrt(-i), principal branch
 NEAR_POLE_TOL = 1e-13
@@ -39,7 +39,7 @@ class QuadratureSettings:
 
     epsabs: float = 1e-13
     epsrel: float = 1e-11
-    limit: int = 4000
+    limit: int = 4000        # most Gauss-Kronrod panels per ray integral
     lam: float = 40.0        # truncate the ray at |z| = sqrt(lam / t)
     t_min: float = 0.05      # smallest supported propagation time
     max_error: float = 1e-9  # estimated-error gate
@@ -48,93 +48,84 @@ class QuadratureSettings:
 DEFAULT_QUAD = QuadratureSettings()
 
 
-def _cexpm1(w: complex) -> complex:
-    """exp(w) - 1, series-stable for small |w|."""
-    if abs(w) < 1e-4:
-        return w * (1 + w / 2 * (1 + w / 3 * (1 + w / 4)))
-    return cmath.exp(w) - 1
+def _jost_factor(k, d, pot: DeltaShellPotential):
+    """1 - (b/2k)(e^{2ikd} - 1), with its removable value 1 - i b d at k = 0."""
+    zero = k == 0
+    kk = np.where(zero, 1, k)
+    return np.where(zero, 1 - 1j * pot.b * d, 1 - (pot.b / (2 * kk)) * np.expm1(2j * kk * d))
 
 
-def jost_function(k: complex, pot: DeltaShellPotential) -> complex:
+def jost_function(k, pot: DeltaShellPotential):
     """F(k) = 1 - (b/2k)(e^{2ika} - 1); zeros coincide with the pole equation roots.
 
-    The removable value at the origin, F(0) = 1 - i b a, is returned explicitly.
+    Takes a scalar (returns a complex) or an array of k. The removable value
+    at the origin, F(0) = 1 - i b a, is returned explicitly.
     """
-    b, a = pot.b, pot.a
-    if k == 0:
-        return 1 - 1j * b * a
-    return 1 - (b / (2 * k)) * _cexpm1(2j * k * a)
+    return _scalar_or_array(_jost_factor(np.asarray(k, dtype=complex), pot.a, pot))
 
 
-def _phi_regular(k: complex, r: float, pot: DeltaShellPotential) -> complex:
+def _phi_regular(k, r: float, pot: DeltaShellPotential):
     """Regular solution with phi(0) = 0, phi'(0) = 1 (delta jump matched for r > a)."""
     a, b = pot.a, pot.b
+    k = np.asarray(k, dtype=complex)
+    zero = k == 0
+    kk = np.where(zero, 1, k)
     if r <= a:
-        x = k * r
-        if abs(x) < 1e-4:
-            return r * (1 - x * x / 6 * (1 - x * x / 20))
-        return cmath.sin(x) / k
-    if k == 0:
-        return a + (1 - 1j * b * a) * (r - a)  # zero-energy limit past the jump
-    sin_ka, cos_ka = cmath.sin(k * a), cmath.cos(k * a)
-    p_out = 0.5 * (sin_ka / k - 1j * cos_ka / k - b * sin_ka / (k * k))
-    q_out = 0.5 * (sin_ka / k + 1j * cos_ka / k + b * sin_ka / (k * k))
-    return p_out * cmath.exp(1j * k * (r - a)) + q_out * cmath.exp(-1j * k * (r - a))
+        return _scalar_or_array(np.where(zero, r, np.sin(kk * r) / kk))
+    sin_ka, cos_ka = np.sin(kk * a), np.cos(kk * a)
+    p_out = 0.5 * (sin_ka / kk - 1j * cos_ka / kk - b * sin_ka / (kk * kk))
+    q_out = 0.5 * (sin_ka / kk + 1j * cos_ka / kk + b * sin_ka / (kk * kk))
+    outside = p_out * np.exp(1j * kk * (r - a)) + q_out * np.exp(-1j * kk * (r - a))
+    # zero-energy limit past the jump at k = 0
+    return _scalar_or_array(np.where(zero, a + (1 - 1j * b * a) * (r - a), outside))
 
 
-def _f_jost_solution(k: complex, r: float, pot: DeltaShellPotential) -> complex:
+def _f_jost_solution(k, r: float, pot: DeltaShellPotential):
     """Jost solution, purely outgoing e^{ikr} beyond the shell."""
-    a, b = pot.a, pot.b
-    if r >= a:
-        return cmath.exp(1j * k * r)
-    if k == 0:
-        return 1 - 1j * b * (a - r)
-    return cmath.exp(1j * k * r) * (1 - (b / (2 * k)) * _cexpm1(2j * k * (a - r)))
+    k = np.asarray(k, dtype=complex)
+    f = np.exp(1j * k * r)
+    if r < pot.a:
+        f = f * _jost_factor(k, pot.a - r, pot)
+    return _scalar_or_array(f)
 
 
-def green_function(r: float, rp: float, k: complex, pot: DeltaShellPotential) -> complex:
-    """G+(r, r'; k) = -phi(k, r_<) f(k, r_>) / F(k)."""
+def green_function(r: float, rp: float, k, pot: DeltaShellPotential):
+    """G+(r, r'; k) = -phi(k, r_<) f(k, r_>) / F(k), at a scalar k or an array of k."""
     if r < 0 or rp < 0:
         raise ValueError("coordinates must be non-negative")
-    F = jost_function(k, pot)
-    if abs(F) < NEAR_POLE_TOL:
-        raise NearPoleError(f"Jost function vanishes at k={k} to {abs(F):.1e}")
+    k = np.asarray(k, dtype=complex)
+    F = _jost_factor(k, pot.a, pot)
+    if np.any(np.abs(F) < NEAR_POLE_TOL):
+        i = np.argmin(np.abs(F))
+        raise NearPoleError(f"Jost function vanishes at k={k.flat[i]} to "
+                            f"{np.abs(F).flat[i]:.1e}")
     rlo, rhi = (r, rp) if r <= rp else (rp, r)
-    return -_phi_regular(k, rlo, pot) * _f_jost_solution(k, rhi, pot) / F
+    return _scalar_or_array(-_phi_regular(k, rlo, pot) * _f_jost_solution(k, rhi, pot) / F)
 
 
 def residue_at_pole(pole_k: complex, r: float, rp: float, pot: DeltaShellPotential,
                     radius: float = 0.05, n_nodes: int = 128) -> complex:
     """Numerical residue of G+ at a pole by a midpoint-trapezoid circular contour."""
-    theta = 2 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    ring = np.exp(1j * theta)
-    total = 0j
-    for w in ring:
-        kk = pole_k + radius * w
-        total += green_function(r, rp, kk, pot) * radius * w
-    return total / n_nodes
+    ring = radius * np.exp(2j * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes)
+    return complex(np.sum(green_function(r, rp, pole_k + ring, pot) * ring) / n_nodes)
 
 
 def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
-    """(1/pi) integral_{-Z}^{Z} f(gamma z) e^{-z^2 t} z dz on the rotated ray, Z^2 = lam/t."""
+    """(1/pi) integral_{-Z}^{Z} f(gamma z) e^{-z^2 t} z dz on the rotated ray, Z^2 = lam/t.
+
+    f takes the array of ray points gamma z; z = 0 is a breakpoint and never a node.
+    """
     if t < quad_settings.t_min:
         raise ValueError(f"t={t} below the supported minimum {quad_settings.t_min}")
     Z = math.sqrt(quad_settings.lam / t)
-
-    def integrand(z):
-        if z == 0.0:
-            return 0j
-        return z * math.exp(-z * z * t) * f(GAMMA_ROTATION * z)
-
-    value, err = quad(integrand, -Z, Z, complex_func=True, points=[0.0],
-                      epsabs=quad_settings.epsabs, epsrel=quad_settings.epsrel,
-                      limit=quad_settings.limit)
-    estimate = abs(err)
+    value, estimate = quad(lambda z: z * np.exp(-z * z * t) * f(GAMMA_ROTATION * z),
+                           -Z, Z, points=[0.0], epsabs=quad_settings.epsabs,
+                           epsrel=quad_settings.epsrel, limit=quad_settings.limit)
     if estimate > quad_settings.max_error:
         raise QuadratureError(
             f"contour quadrature error estimate {estimate:.2e} exceeds "
             f"{quad_settings.max_error:.2e}", value=value, estimate=estimate)
-    return value / math.pi
+    return complex(value) / math.pi
 
 
 @lru_cache(maxsize=64)
@@ -202,33 +193,34 @@ def propagator(r: float, rp: float, t: float, pot: DeltaShellPotential,
     return _pole_sum(_state_products(k, A, r, rp), k, t) + ray
 
 
-def resolvent_matrix_element(k: complex, pot: DeltaShellPotential,
-                             init: SineInitialState) -> complex:
+def resolvent_matrix_element(k, pot: DeltaShellPotential, init: SineInitialState):
     """I(k) = <psi|(k^2 - H)^{-1}|psi> for the sine state, in closed form.
 
     Built by solving (k^2 - H) chi = psi with chi(0) = 0 and outgoing
-    matching at the shell; all spatial integrals are elementary. Evaluated in
-    an exponential-scaled form so no overflow occurs anywhere on the rotated
-    ray (k = 0 itself is excluded; the ray integrand vanishes there anyway).
+    matching at the shell; all spatial integrals are elementary. Takes a
+    scalar (returns a complex) or an array of k. Evaluated in an
+    exponential-scaled form so no overflow occurs anywhere on the rotated ray
+    (k = 0 itself is excluded; the ray integrand vanishes there anyway).
     """
     b, a = pot.b, pot.a
     kc, Nc = init.k_c, init.N_c
-    if k == 0:
+    k = np.asarray(k, dtype=complex)
+    if np.any(k == 0):
         raise ValueError("k = 0 is a removable point; evaluate nearby instead")
     den = k * k - kc * kc
     sc, cc = math.sin(kc * a), math.cos(kc * a)
     drive = Nc * (kc * cc - 1j * (k + b) * sc) / den  # T_c - i(k+b) S_c
     alpha_plus = 0.5 * (-k * sc - 1j * kc * cc)
     alpha_minus = 0.5 * (-k * sc + 1j * kc * cc)
-    if (k * a).imag < 0:
-        # |e^{2ika}| > 1: divide numerator and denominator by e^{2ika}
-        q = cmath.exp(-2j * k * a)
-        core = -2 * (alpha_plus + q * alpha_minus) / (2 * k * q + b * (q - 1))
-    else:
-        e2 = _cexpm1(2j * k * a)  # e^{2ika} - 1, stable near the origin
-        core = -2 * ((alpha_plus + alpha_minus) + e2 * alpha_plus) / (2 * k - b * e2)
+    # |e^{2ika}| > 1 below the real axis: there divide numerator and denominator
+    # by e^{2ika}; each branch gets k = 0 in place of the other's arguments
+    lower = (k * a).imag < 0
+    q = np.exp(-2j * np.where(lower, k, 0) * a)
+    e2 = np.expm1(2j * np.where(lower, 0, k) * a)  # e^{2ika} - 1, stable near the origin
+    core = np.where(lower, -2 * (alpha_plus + q * alpha_minus) / (2 * k * q + b * (q - 1)),
+                    -2 * ((alpha_plus + alpha_minus) + e2 * alpha_plus) / (2 * k - b * e2))
     sine_norm = a / 2 - math.sin(2 * kc * a) / (4 * kc)
-    return drive * Nc * core / den + Nc * Nc * sine_norm / den
+    return _scalar_or_array(drive * Nc * core / den + Nc * Nc * sine_norm / den)
 
 
 @lru_cache(maxsize=32)

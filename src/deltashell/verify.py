@@ -54,7 +54,7 @@ def run_verification(pot: DeltaShellPotential, init: SineInitialState | None = N
 
     results.append(_gate(
         "jost_zero_equivalence",
-        max(abs(jost_function(p.k, pot)) for p in poles), 1e-10))
+        float(np.max(np.abs(jost_function(np.array([p.k for p in poles]), pot)))), 1e-10))
 
     near_real = [abs(st.normalization_residual())
                  for fam in (ctx.basis.proper, ctx.basis.improper) for st in fam
@@ -81,23 +81,22 @@ def run_verification(pot: DeltaShellPotential, init: SineInitialState | None = N
         jump = max(jump, abs(outer - inner + 1j * pot.b * st.A * cmath.sin(k * a)))
     results.append(_gate("derivative_jump_at_shell", jump, 1e-9))
 
-    probes_k = [0.7 + 0.2j, 2.0 + 0j, -1.3 + 0.8j, 3.7 - 0.4j, 0.15 + 0j]
+    probes_k = np.array([0.7 + 0.2j, 2.0 + 0j, -1.3 + 0.8j, 3.7 - 0.4j, 0.15 + 0j])
     rgrid = np.linspace(0.1 * a, 0.9 * a, 5)
-    sym = max(abs(green_function(r, rp, k, pot) - green_function(rp, r, k, pot))
-              for k in probes_k for r in rgrid for rp in rgrid)
+    sym = max(float(np.max(np.abs(green_function(r, rp, probes_k, pot)
+                                  - green_function(rp, r, probes_k, pot))))
+              for r in rgrid for rp in rgrid)
     results.append(_gate("green_symmetry", sym, 1e-12))
 
-    origin = max(abs(green_function(0.0, rp, k, pot))
-                 for k in probes_k for rp in rgrid)
+    origin = max(float(np.max(np.abs(green_function(0.0, rp, probes_k, pot))))
+                 for rp in rgrid)
     results.append(_gate("green_regular_at_origin", origin, 1e-14))
 
     h = 1e-6 * a
-    bc = 0.0
-    for k in probes_k[:3]:
-        g0 = green_function(a, 0.5 * a, k, pot)
-        g1 = green_function(a + h, 0.5 * a, k, pot)
-        deriv = (g1 - g0) / h
-        bc = max(bc, abs(deriv - 1j * k * g0) / max(1.0, abs(g0)))
+    k = probes_k[:3]
+    g0 = green_function(a, 0.5 * a, k, pot)
+    deriv = (green_function(a + h, 0.5 * a, k, pot) - g0) / h
+    bc = float(np.max(np.abs(deriv - 1j * k * g0) / np.maximum(1.0, np.abs(g0))))
     results.append(_gate("green_outgoing_at_shell", bc, 1e-4,
                          note="one-sided finite difference, O(h) accurate"))
 

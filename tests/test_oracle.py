@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from deltashell import (DeltaShellPotential, QuadratureSettings,
-                        box_state, green_function, jost_function, lifetime,
-                        propagator, residue_at_pole, resolvent_matrix_element,
-                        survival_amplitude, survival_amplitude_exact)
+from deltashell import (GAMMA_ROTATION, DeltaShellPotential, QuadratureSettings,
+                        SineInitialState, box_state, expansion, find_poles, green_function,
+                        jost_function, lifetime, propagator, residue_at_pole,
+                        resolvent_matrix_element, survival_amplitude, survival_amplitude_exact)
 from deltashell.errors import NearPoleError, QuadratureError
 from deltashell.expansion import _overlap_quadrature
-from deltashell.oracle import _extended_proper_poles
+from deltashell.oracle import _extended_proper_poles, _ray_integral
+
+# intensities x initial states x times of the ray-integral referee sweep
+SWEEP_B = (3.0, 4.5 * math.pi, 30.0, 60.0, 200.0)
+SWEEP_STATES = {"q1": box_state(1), "q2": box_state(2), "q6": box_state(6),
+                "kc": SineInitialState.from_wavenumber(4.5 * math.pi),
+                "kc17": SineInitialState.from_wavenumber(17.3)}
+SWEEP_T = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0)
 
 
 def test_jost_zero_at_poles(ps40, pot9):
@@ -292,3 +299,107 @@ def test_exact_survival_series_schema(pot9, ctx_q1):
     assert np.all(series.A_exp + series.A_tail == series.A)
     assert np.all(series.S_exp_only != series.S)
     assert np.all(series.S_tail_only > 0)
+
+
+def test_gauss_kronrod_constants():
+    """K15 integrates x^d on [-1, 1] exactly through degree 22, G7 through 13."""
+    x, wk, wg = expansion.GK_NODES, expansion.GK_KRONROD, expansion.GK_GAUSS
+    assert np.all(np.diff(x) > 0) and np.count_nonzero(wg) == 7
+    exact = [2 / (d + 1) if d % 2 == 0 else 0.0 for d in range(25)]
+    for d in range(23):
+        assert x ** d @ wk == pytest.approx(exact[d], abs=1e-15)
+    for d in range(14):
+        assert x ** d @ wg == pytest.approx(exact[d], abs=1e-15)
+    assert abs(x ** 24 @ wk - exact[24]) > 1e-9
+    assert abs(x ** 14 @ wg - exact[14]) > 1e-5
+
+
+@pytest.mark.parametrize("tol", [{}, {"epsabs": 1e-14, "epsrel": 1e-13, "limit": 4000}],
+                         ids=["default", "tight"])
+def test_quad_error_estimate_is_honest(tol):
+    """e^{-x^2} cos(40 x) over [-6, 6] is sqrt(pi) e^{-400}: all cancellation."""
+    value, estimate = expansion.quad(lambda x: np.exp(-x * x) * np.cos(40 * x), -6.0, 6.0,
+                                     **tol)
+    assert abs(value - math.sqrt(math.pi) * math.exp(-400)) <= estimate
+
+
+def test_quad_limit_caps_panels():
+    """x^{-1/2} on [0, 1] never meets a 1e-14 bound; the panel count stops at limit."""
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return x ** -0.5
+
+    value, estimate = expansion.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=0.0, limit=40)
+    assert sizes[0] == 15 and max(sizes) <= 15 * 40
+    assert estimate > 1e-14 and value == pytest.approx(2.0, rel=1e-2)
+    # breakpoints alone may exceed the limit: those panels stay, none is split
+    sizes.clear()
+    expansion.quad(f, 0.0, 1.0, points=[0.25, 0.5, 0.75], epsabs=1e-14, epsrel=0.0, limit=2)
+    assert sizes == [60]
+
+
+@pytest.mark.parametrize("b", SWEEP_B)
+def test_ray_integral_against_scipy_quad(b):
+    """The Gauss-Kronrod ray integral against QUADPACK's scalar adaptive rule."""
+    from scipy.integrate import quad as scipy_quad
+    pot = DeltaShellPotential(b=b, a=1.0)
+    tight = QuadratureSettings(epsabs=1e-14, epsrel=1e-13)
+    for init in SWEEP_STATES.values():
+        for t in SWEEP_T:
+            def integrand(z):
+                if z == 0.0:
+                    return 0j
+                return z * math.exp(-z * z * t) * resolvent_matrix_element(
+                    GAMMA_ROTATION * z, pot, init)
+
+            Z = math.sqrt(tight.lam / t)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                ref = scipy_quad(integrand, -Z, Z, complex_func=True, points=[0.0],
+                                 epsabs=tight.epsabs, epsrel=tight.epsrel,
+                                 limit=tight.limit)[0] / math.pi
+            ray = _ray_integral(lambda k: resolvent_matrix_element(k, pot, init), t, tight)
+            assert abs(ray - ref) < 1e-14, (init.k_c, t)
+
+
+def test_oracle_sweep_raises_no_warning(pot9):
+    """No numpy RuntimeWarning anywhere on the sweep, nor at the delta-resolution
+    times, where |z| reaches 630-11500 on the ray and an unguarded branch of
+    the resolvent would overflow.
+    """
+    small_t = QuadratureSettings(t_min=1e-7, limit=60000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in SWEEP_B:
+            pot = DeltaShellPotential(b=b, a=1.0)
+            for init in SWEEP_STATES.values():
+                for t in SWEEP_T:
+                    assert np.isfinite(survival_amplitude_exact(pot, init, t))
+        for init, t in ((box_state(6), 1e-4), (SWEEP_STATES["kc"], 3e-7)):
+            assert np.isfinite(survival_amplitude_exact(pot9, init, t, 80, small_t))
+
+
+def test_array_kernels_match_scalar_calls(pot9):
+    """Array arguments give the scalar values elementwise (numpy's array and
+    0-d loops may differ in the last bit); scalars give a complex.
+    """
+    k = np.array([0.7 + 0.2j, 2.0 + 0j, -1.3 + 0.8j, 3.7 - 0.4j, 1e-6 + 0j, 0j])
+    init = box_state(2)
+    # beyond the shell phi cancels like 1/k^2 as k -> 0, so those pairs skip k = 1e-6
+    away = k[k != 1e-6]
+    for r, rp, ks in [(0.3, 0.6, k), (0.0, 0.5, k), (0.4, 1.3, away), (1.2, 1.4, away)]:
+        np.testing.assert_allclose([green_function(r, rp, kk, pot9) for kk in ks],
+                                   green_function(r, rp, ks, pot9), rtol=1e-15, atol=0)
+    np.testing.assert_allclose([jost_function(kk, pot9) for kk in k],
+                               jost_function(k, pot9), rtol=1e-15, atol=0)
+    np.testing.assert_allclose([resolvent_matrix_element(kk, pot9, init) for kk in k[:-1]],
+                               resolvent_matrix_element(k[:-1], pot9, init), rtol=1e-15, atol=0)
+    assert type(green_function(0.3, 0.6, 2.0, pot9)) is complex
+    assert type(jost_function(2.0, pot9)) is complex
+    assert type(resolvent_matrix_element(2.0, pot9, init)) is complex
+    with pytest.raises(NearPoleError):
+        green_function(0.3, 0.6, np.array([2.0, find_poles(pot9, 1, 1).proper[0].k]), pot9)
+    with pytest.raises(ValueError):
+        resolvent_matrix_element(k, pot9, init)  # k = 0 is removable, not evaluated
