@@ -265,10 +265,12 @@ def test_oracle_commands_load_no_scipy(tmp_path, args):
     assert _fresh_cli(args, tmp_path / "out") == [0, []]
 
 
-def test_quad_is_shared_and_needs_no_scipy():
-    # perfbench's tracer counts the oracle's quadratures through both names
+@pytest.mark.parametrize("module", ["oracle", "expansion"])
+def test_lazy_quad_integrates_on_first_call(module):
+    # quad is numpy's own now: its first call loads no scipy, and perfbench's
+    # tracer counts the oracle's quadratures through both names, so they stay one object
     (same, value), loaded = _fresh_run(
-        "from deltashell import expansion, oracle\n"
-        "code = [oracle.quad is expansion.quad, oracle.quad(lambda x: x * x, 0.0, 1.0)[0]]")
+        f"from deltashell import {module}, expansion, oracle\n"
+        f"code = [oracle.quad is expansion.quad, {module}.quad(lambda x: x * x, 0.0, 1.0)[0]]")
     assert same and loaded == []
     assert value == pytest.approx(1 / 3, rel=1e-14)
