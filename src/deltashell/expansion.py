@@ -338,9 +338,11 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
                     bracket_in_lifetimes=(1.0, 200.0)) -> float:
     """Time where the slowest exponential term equals the power-law term.
 
-    Solves |C_1 Cbar_1| e^{-G_1 t/2} = |eta D| t^{-3/2} by bracketed
-    bisection on [tau, 200 tau] down to 1e-12 tau; past this time S(t)
-    follows the t^{-3} law.
+    Solves |C_1 Cbar_1| e^{-G_1 t/2} = |eta D| t^{-3/2} by bisection down to
+    1e-12 tau; past this time S(t) follows the t^{-3} law. The log gap of
+    the two sides is concave with its maximum at t = 3/G_1, so bisecting on
+    the part of the bracket [tau, 200 tau] past that maximum finds the late
+    crossing, also when the early one lies in the bracket too.
     """
     tau = lifetime(poles)
     g1 = poles.by_index(1).width
@@ -353,6 +355,7 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
         return (math.log(lhs_amp) - g1 * t / 2) - (math.log(rhs_amp) - 1.5 * math.log(t))
 
     lo, hi = bracket_in_lifetimes[0] * tau, bracket_in_lifetimes[1] * tau
+    lo = max(lo, min(3 / g1, hi))
     gap_lo = gap(lo)
     if gap_lo * gap(hi) > 0:
         raise NoTransitionError(

@@ -23,9 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import ResonantState, _state_products
-from .errors import NearPoleError, QuadratureError, SolverError
+from .errors import CompletenessError, NearPoleError, QuadratureError, SolverError
 from .model import DeltaShellPotential, SineInitialState
-from .poles import ACCEPT_TOL, Pole, PoleSet, find_poles, residual_noise_floor
+from .poles import (DUPLICATE_TOL, NEWTON_TOL, Pole, PoleSet, _acceptance_bound,
+                    count_roots_in_rectangle, residual_noise_floor)
 from .expansion import (SurvivalSeries, _overlap_quadrature, _overlaps, _pole_sum,
                         _scalar_or_array, lifetime, quad)
 
@@ -72,10 +73,8 @@ def _phi_regular(k, r: float, pot: DeltaShellPotential):
     kk = np.where(zero, 1, k)
     if r <= a:
         return _scalar_or_array(np.where(zero, r, np.sin(kk * r) / kk))
-    sin_ka, cos_ka = np.sin(kk * a), np.cos(kk * a)
-    p_out = 0.5 * (sin_ka / kk - 1j * cos_ka / kk - b * sin_ka / (kk * kk))
-    q_out = 0.5 * (sin_ka / kk + 1j * cos_ka / kk + b * sin_ka / (kk * kk))
-    outside = p_out * np.exp(1j * kk * (r - a)) + q_out * np.exp(-1j * kk * (r - a))
+    # the free solution plus the kick -i b phi(a) from the jump, free of 1/k^2 cancellation
+    outside = np.sin(kk * r) / kk - 1j * b * np.sin(kk * a) * np.sin(kk * (r - a)) / (kk * kk)
     # zero-energy limit past the jump at k = 0
     return _scalar_or_array(np.where(zero, a + (1 - 1j * b * a) * (r - a), outside))
 
@@ -128,44 +127,45 @@ def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
     return complex(value) / math.pi
 
 
-@lru_cache(maxsize=64)
-def _cached_pole_set(pot: DeltaShellPotential, n_proper: int, n_improper: int) -> PoleSet:
-    return find_poles(pot, n_proper, n_improper)
-
-
 @lru_cache(maxsize=16)
 def _extended_proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
-    """First n proper poles: winding-certified head, asymptotic-seeded Newton tail.
+    """First n proper poles: asymptotic seeds, one vectorized Newton, one winding count.
 
-    Tail seeds k a = p pi - (i/2) ln(1 + 2 p pi /(a b)) are accurate to ~1e-2
-    and converge in a few undamped Newton steps. Monotone spacing close to
-    pi/a certifies that no pole of the family was skipped.
+    Seeds k a = p pi - (i/2) ln(1 + 2 p pi /(a b)), p = 1..n, are accurate to
+    ~1e-2 and converge in a few undamped Newton steps; each root stops at
+    newton_polish's criterion and must end below the acceptance bound. The
+    rectangle [0, (n + 1/2) pi/a] x [-depth, 0] holds the first n proper
+    poles and no other root, so one argument-principle count certifies the
+    set (Delves & Lyness, Math. Comp. 21, 1967): it must be n, with the n
+    roots distinct, inside the rectangle and in order of Re k.
     """
     if n == 0:
         return ()
-    head_n = min(n, 40)
-    head = _cached_pole_set(pot, head_n, 1).proper
-    if n <= head_n:
-        return tuple(head[:n])
     a, b = pot.a, pot.b
-    p_idx = np.arange(head_n + 1, n + 1, dtype=float)
-    kappa = p_idx * math.pi - 0.5j * np.log(1 + 2 * p_idx * math.pi / (a * b))
-    k = kappa / a
+    p = np.arange(1, n + 1, dtype=float)
+    k = (p * math.pi - 0.5j * np.log(1 + 2 * p * math.pi / (a * b))) / a
     for _ in range(60):
         e2 = np.exp(2j * k * a)
         f = 2 * k - b * (e2 - 1)
-        if np.all(np.abs(f) < np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, pot))):
+        done = np.abs(f) < np.maximum(NEWTON_TOL, 4 * residual_noise_floor(k, pot))
+        if done.all():
             break
-        fp = 2 - 2j * a * b * e2
-        k = k - f / fp
-    else:
-        raise SolverError("asymptotic tail Newton did not converge")
-    ks = [p.k for p in head] + list(k)
-    spacings = np.diff([z.real for z in ks])
-    if not np.all((spacings > 2.0 / a) & (spacings < 4.5 / a)):
-        raise SolverError("pole tail spacing is inconsistent; family enumeration broken")
-    return tuple(head) + tuple(Pole(index=head_n + 1 + i, k=complex(z))
-                               for i, z in enumerate(k))
+        k = np.where(done, k, k - f / (2 - 2j * a * b * e2))
+    unconverged = np.abs(2 * k - b * (np.exp(2j * k * a) - 1)) >= _acceptance_bound(k, pot)
+    if unconverged.any():
+        raise SolverError(f"seeded Newton left {unconverged.sum()} of {n} proper poles "
+                          f"unconverged, first at p = {np.argmax(unconverged) + 1}")
+    re_hi = (n + 0.5) * math.pi / a
+    depth = (0.5 * math.log(1 + 2 * (n + 1) * math.pi / (a * b)) + 1) / a
+    count = count_roots_in_rectangle((0.0, re_hi, -depth, 0.0), pot)
+    if count != n:
+        raise CompletenessError(f"winding count {count} in the proper rectangle "
+                                f"[0, {re_hi:.6g}] x [{-depth:.6g}, 0] for {n} solved poles")
+    inside = (k.real > 0) & (k.real < re_hi) & (k.imag > -depth) & (k.imag < 0)
+    if not inside.all() or np.any(np.diff(k.real) <= DUPLICATE_TOL):
+        raise CompletenessError("seeded Newton roots are not n distinct roots inside the "
+                                "proper rectangle in order of Re k")
+    return tuple(Pole(index=i + 1, k=complex(z)) for i, z in enumerate(k))
 
 
 @lru_cache(maxsize=16)
@@ -264,7 +264,7 @@ def exact_survival_series(pot: DeltaShellPotential, init: SineInitialState, t_gr
     t_grid = np.asarray(t_grid, dtype=float)
     A_exp, A_tail = np.array([_exact_parts(pot, init, t, N, quad_settings)
                               for t in t_grid]).reshape(-1, 2).T
-    tau = lifetime(_cached_pole_set(pot, max(N, 1), 1))
+    tau = lifetime(PoleSet(pot, _extended_proper_poles(pot, max(N, 1)), ()))
     return SurvivalSeries(potential=pot, initial_state=init, lifetime=tau,
                           t=t_grid, A=A_exp + A_tail, A_exp=A_exp, A_tail=A_tail,
                           source="oracle")

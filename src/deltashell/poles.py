@@ -71,9 +71,9 @@ def residual_noise_floor(k, pot: DeltaShellPotential):
     return 2.3e-16 * (abs(2 * k) + mag * (2 * abs(k) * pot.a + 2.0))
 
 
-def _acceptance_bound(k: complex, pot: DeltaShellPotential) -> float:
-    """Largest |residual| accepted at a root: ACCEPT_TOL or 8x the noise floor at k."""
-    return max(ACCEPT_TOL, 8 * residual_noise_floor(k, pot))
+def _acceptance_bound(k, pot: DeltaShellPotential):
+    """Largest |residual| accepted at a root (or an array): ACCEPT_TOL or 8x the noise floor."""
+    return np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, pot))
 
 
 def newton_polish(seed: complex, pot: DeltaShellPotential, tol: float = NEWTON_TOL,

@@ -2,17 +2,20 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from deltashell import (GAMMA_ROTATION, DeltaShellPotential, QuadratureSettings,
                         SineInitialState, box_state, expansion, find_poles, green_function,
-                        jost_function, lifetime, propagator, residue_at_pole,
-                        resolvent_matrix_element, survival_amplitude, survival_amplitude_exact)
-from deltashell.errors import NearPoleError, QuadratureError
+                        jost_function, lifetime, oracle, poles, propagator, residue_at_pole,
+                        resolvent_matrix_element, survival_amplitude, survival_amplitude_exact,
+                        verify)
+from deltashell.errors import CompletenessError, NearPoleError, QuadratureError
 from deltashell.expansion import _overlap_quadrature
 from deltashell.oracle import _extended_proper_poles, _ray_integral
+from deltashell.poles import _acceptance_bound
 
 # intensities x initial states x times of the ray-integral referee sweep
 SWEEP_B = (3.0, 4.5 * math.pi, 30.0, 60.0, 200.0)
@@ -244,10 +247,60 @@ def test_extended_pole_tail(pot9):
     alphas = np.array([p.k.real for p in poles])
     assert np.all(np.diff(alphas) > 2)
     assert [p.index for p in poles] == list(range(1, 301))
-    # the head is the certified solver output
-    from deltashell import find_poles
     head = find_poles(pot9, 10, 1).proper
     assert all(abs(poles[i].k - head[i].k) < 1e-12 for i in range(10))
+
+
+@pytest.mark.parametrize("a", [0.25, 1.0, 4.0], ids=["a0.25", "a1", "a4"])
+@pytest.mark.parametrize("b", [0.05, 0.3, 3.0, 4.5 * math.pi, 30.0, 224.0, 1000.0],
+                         ids=["b0.05", "b0.3", "b3", "b4.5pi", "b30", "b224", "b1000"])
+def test_oracle_poles_against_referees(b, a):
+    """The oracle's seeded, winding-certified proper poles against the bisection
+    solver, where it succeeds (it runs out of depth at small ab and N = 300), and
+    against the pole equation in 50-digit arithmetic at every root.
+    """
+    pot = DeltaShellPotential(b=b, a=a)
+    for n in (1, 40, 300):
+        k = np.array([p.k for p in _extended_proper_poles(pot, n)])
+        assert len(k) == n
+        try:
+            ref = np.array([p.k for p in find_poles(pot, n, 1).proper])
+        except CompletenessError:
+            assert n == 300 and a * b < 0.1
+        else:
+            np.testing.assert_allclose(k, ref, rtol=1e-13, atol=0)
+    with mpmath.workdps(50):
+        exact = [abs(2 * z - b * (mpmath.exp(2j * z * a) - 1))
+                 for z in (mpmath.mpc(kk.real, kk.imag) for kk in k)]
+    assert np.all(np.array(exact, dtype=float) < _acceptance_bound(k, pot))
+
+
+def test_oracle_poles_reject_a_corrupted_certificate(monkeypatch):
+    """A winding count that disagrees with the solved roots is a typed error."""
+    pot = DeltaShellPotential(b=2.5, a=1.0)
+    for n in (1, 40):
+        monkeypatch.setattr(oracle, "count_roots_in_rectangle", lambda rect, pot, n=n: n + 1)
+        with pytest.raises(CompletenessError, match="winding count"):
+            _extended_proper_poles(pot, n)
+
+
+def test_verification_solves_the_poles_once(monkeypatch):
+    """run_verification's one find_poles call feeds the expansion; the oracle
+    check solves its proper poles without it. The statuses stay all-pass.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return poles.find_poles(*args)
+
+    # every binding run_verification could reach, so a second solve anywhere is counted
+    for mod in (verify, expansion, oracle):
+        if hasattr(mod, "find_poles"):
+            monkeypatch.setattr(mod, "find_poles", counted)
+    results = verify.run_verification(DeltaShellPotential(b=20.0, a=1.0))
+    assert len(calls) == 1
+    assert len(results) == 13 and all(r.status == "pass" for r in results)
 
 
 def test_exact_long_time_cube_law(pot9, ctx_ss):
@@ -387,11 +440,19 @@ def test_array_kernels_match_scalar_calls(pot9):
     """
     k = np.array([0.7 + 0.2j, 2.0 + 0j, -1.3 + 0.8j, 3.7 - 0.4j, 1e-6 + 0j, 0j])
     init = box_state(2)
-    # beyond the shell phi cancels like 1/k^2 as k -> 0, so those pairs skip k = 1e-6
-    away = k[k != 1e-6]
-    for r, rp, ks in [(0.3, 0.6, k), (0.0, 0.5, k), (0.4, 1.3, away), (1.2, 1.4, away)]:
-        np.testing.assert_allclose([green_function(r, rp, kk, pot9) for kk in ks],
-                                   green_function(r, rp, ks, pot9), rtol=1e-15, atol=0)
+    for r, rp in [(0.3, 0.6), (0.0, 0.5), (0.4, 1.3), (1.2, 1.4)]:
+        np.testing.assert_allclose([green_function(r, rp, kk, pot9) for kk in k],
+                                   green_function(r, rp, k, pot9), rtol=1e-15, atol=0)
+    # beyond the shell phi keeps full accuracy as k -> 0: G+(1.2, 1.4; 1e-6) in 40
+    # digits, phi(r > a) matched to sin(ka)/k as p e^{ik(r-a)} + q e^{-ik(r-a)}
+    with mpmath.workdps(40):
+        kk, b, r, rp = (mpmath.mpf(x) for x in (1e-6, pot9.b, 1.2, 1.4))
+        s, c = mpmath.sin(kk), mpmath.cos(kk)
+        p_out, q_out = ((s / kk + sign * (-1j * c / kk - b * s / kk ** 2)) / 2 for sign in (1, -1))
+        phi = p_out * mpmath.exp(1j * kk * (r - 1)) + q_out * mpmath.exp(-1j * kk * (r - 1))
+        jost = 1 - b / (2 * kk) * mpmath.expm1(2j * kk)
+        exact = complex(-phi * mpmath.exp(1j * kk * rp) / jost)
+    assert abs(green_function(1.2, 1.4, 1e-6, pot9) - exact) < 1e-15 * abs(exact)
     np.testing.assert_allclose([jost_function(kk, pot9) for kk in k],
                                jost_function(k, pot9), rtol=1e-15, atol=0)
     np.testing.assert_allclose([resolvent_matrix_element(kk, pot9, init) for kk in k[:-1]],
