@@ -31,7 +31,7 @@ for q in (1, 2, 6):
     tau = lifetime(ctx.pole_set)
     gq = ctx.pole_set.by_index(q).width
     g1 = ctx.pole_set.by_index(1).width
-    c2 = ctx.overlaps.pair_product(q)
+    c2 = ctx.overlaps.c(q) * ctx.overlaps.c(q)
     t = np.linspace(0.01 * tau, 12 * tau, 6000)
     series = survival_series(pot, ctx.initial_state, t, 40, context=ctx)
     early = slope(t, series.S, 0.2 * tau, 0.8 * tau)

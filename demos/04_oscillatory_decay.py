@@ -26,7 +26,7 @@ ctx = build_expansion(pot, init, 40)
 tau = lifetime(ctx.pole_set)
 
 for p in (-5, 4, 5):
-    c2 = ctx.overlaps.pair_product(p)
+    c2 = ctx.overlaps.c(p) * ctx.overlaps.c(p)
     print(f"  C_{p}^2 = {c2.real:+.5f} {c2.imag:+.5f}i")
 print("  (these three carry nearly all the closure weight)")
 

@@ -12,11 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNormalizationError
 from .model import DeltaShellPotential
 from .poles import Pole, PoleSet
-
-DEGENERATE_TOL = 1e-14
 
 
 def normalization_coefficient(pole: Pole, pot: DeltaShellPotential) -> complex:
@@ -25,14 +22,14 @@ def normalization_coefficient(pole: Pole, pot: DeltaShellPotential) -> complex:
     Closed form valid at roots of the pole equation:
         A_p^2 = 2(-i b a - 2 i k a) / (a (1 - i b a - 2 i k a)),
     taken on the principal square-root branch. Downstream observables only
-    use products u_p(r) u_p(r'), which are branch independent.
+    use products u_p(r) u_p(r'), which are branch independent. At a root of
+    f(k) = 2k - b (e^{2ika} - 1) the denominator is a f'(k)/2, which vanishes
+    only at k = -b/2 - i/(2a). That point is never a root, since there
+    |a f|^2 = 1 + x e (x e - 2 sin x) >= 1 with x = ab, so every pole is
+    simple and the denominator never vanishes.
     """
     b, a, k = pot.b, pot.a, pole.k
-    den = a * (1 - 1j * b * a - 2j * k * a)
-    if abs(den) < DEGENERATE_TOL:
-        raise DegenerateNormalizationError(
-            f"normalization denominator vanished at k={k} (exceptional point)")
-    return cmath.sqrt(2 * (-1j * b * a - 2j * k * a) / den)
+    return cmath.sqrt(2 * (-1j * b * a - 2j * k * a) / (a * (1 - 1j * b * a - 2j * k * a)))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class NearPoleError(DeltaShellError):
     """Green's function requested too close to one of its poles."""
 
 
-class DegenerateNormalizationError(DeltaShellError):
-    """Normalization denominator vanished (exceptional point)."""
-
-
 class QuadratureError(DeltaShellError):
     """Adaptive quadrature did not reach the requested tolerance.
 

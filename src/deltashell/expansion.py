@@ -140,7 +140,7 @@ class OverlapSet:
 
     For the real-valued sine states used here Cbar_p (the conjugate-state
     overlap) equals C_p identically, so a single array per family is stored
-    and pair products are C_p^2.
+    and pair products C_p Cbar_p are C_p^2.
     """
 
     initial_state: SineInitialState
@@ -154,13 +154,6 @@ class OverlapSet:
         if p < 0:
             return self.improper[-p - 1]
         raise ValueError("index 0 is reserved")
-
-    def cbar(self, p: int) -> complex:
-        # psi(r,0) is real, so the conjugated overlap coincides with c(p)
-        return self.c(p)
-
-    def pair_product(self, p: int) -> complex:
-        return self.c(p) * self.cbar(p)
 
     @property
     def n_pairs(self) -> int:
@@ -186,8 +179,8 @@ def _ordered_pair_sum(coeffs: OverlapSet, N: int, divisor) -> complex:
         raise ValueError(f"only {coeffs.n_pairs} coefficient pairs available")
     total = 0j
     for p in range(1, N + 1):
-        total += coeffs.pair_product(-p) / divisor(-p)
-        total += coeffs.pair_product(p) / divisor(p)
+        total += coeffs.c(-p) * coeffs.c(-p) / divisor(-p)
+        total += coeffs.c(p) * coeffs.c(p) / divisor(p)
     return total
 
 
@@ -346,7 +339,7 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
     """
     tau = lifetime(poles)
     g1 = poles.by_index(1).width
-    lhs_amp = abs(coeffs.pair_product(1))
+    lhs_amp = abs(coeffs.c(1) * coeffs.c(1))
     rhs_amp = abs(ETA * tail_coefficient(coeffs, poles))
     if lhs_amp == 0 or rhs_amp == 0:
         raise NoTransitionError("degenerate term amplitudes")

@@ -23,10 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import ResonantState, _state_products
-from .errors import CompletenessError, NearPoleError, QuadratureError, SolverError
+from .errors import NearPoleError, QuadratureError
 from .model import DeltaShellPotential, SineInitialState
-from .poles import (DUPLICATE_TOL, NEWTON_TOL, Pole, PoleSet, _acceptance_bound,
-                    count_roots_in_rectangle, residual_noise_floor)
+from .poles import PoleSet, _proper_poles
 from .expansion import (SurvivalSeries, _overlap_quadrature, _overlaps, _pole_sum,
                         _scalar_or_array, lifetime, quad)
 
@@ -129,43 +128,8 @@ def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
 
 @lru_cache(maxsize=16)
 def _extended_proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
-    """First n proper poles: asymptotic seeds, one vectorized Newton, one winding count.
-
-    Seeds k a = p pi - (i/2) ln(1 + 2 p pi /(a b)), p = 1..n, are accurate to
-    ~1e-2 and converge in a few undamped Newton steps; each root stops at
-    newton_polish's criterion and must end below the acceptance bound. The
-    rectangle [0, (n + 1/2) pi/a] x [-depth, 0] holds the first n proper
-    poles and no other root, so one argument-principle count certifies the
-    set (Delves & Lyness, Math. Comp. 21, 1967): it must be n, with the n
-    roots distinct, inside the rectangle and in order of Re k.
-    """
-    if n == 0:
-        return ()
-    a, b = pot.a, pot.b
-    p = np.arange(1, n + 1, dtype=float)
-    k = (p * math.pi - 0.5j * np.log(1 + 2 * p * math.pi / (a * b))) / a
-    for _ in range(60):
-        e2 = np.exp(2j * k * a)
-        f = 2 * k - b * (e2 - 1)
-        done = np.abs(f) < np.maximum(NEWTON_TOL, 4 * residual_noise_floor(k, pot))
-        if done.all():
-            break
-        k = np.where(done, k, k - f / (2 - 2j * a * b * e2))
-    unconverged = np.abs(2 * k - b * (np.exp(2j * k * a) - 1)) >= _acceptance_bound(k, pot)
-    if unconverged.any():
-        raise SolverError(f"seeded Newton left {unconverged.sum()} of {n} proper poles "
-                          f"unconverged, first at p = {np.argmax(unconverged) + 1}")
-    re_hi = (n + 0.5) * math.pi / a
-    depth = (0.5 * math.log(1 + 2 * (n + 1) * math.pi / (a * b)) + 1) / a
-    count = count_roots_in_rectangle((0.0, re_hi, -depth, 0.0), pot)
-    if count != n:
-        raise CompletenessError(f"winding count {count} in the proper rectangle "
-                                f"[0, {re_hi:.6g}] x [{-depth:.6g}, 0] for {n} solved poles")
-    inside = (k.real > 0) & (k.real < re_hi) & (k.imag > -depth) & (k.imag < 0)
-    if not inside.all() or np.any(np.diff(k.real) <= DUPLICATE_TOL):
-        raise CompletenessError("seeded Newton roots are not n distinct roots inside the "
-                                "proper rectangle in order of Re k")
-    return tuple(Pole(index=i + 1, k=complex(z)) for i, z in enumerate(k))
+    """First n proper poles from the package's one proper-family solve, cached."""
+    return _proper_poles(pot, n)
 
 
 @lru_cache(maxsize=16)

@@ -1,9 +1,11 @@
 """Locate and classify the complex-k poles of the outgoing Green's function.
 
 The poles are the roots of 2k - b (exp(2ika) - 1) = 0 away from the removable
-zero at k = 0. The solver certifies completeness with winding-number counts
-(argument principle) over rectangles, bisecting until each rectangle isolates
-a single root, then polishes with damped Newton iteration.
+zero at k = 0. The proper (fourth-quadrant) family is seeded from its
+asymptote, polished by one vectorized Newton iteration and certified by one
+winding-number count (argument principle). The improper family is located by
+bisecting rectangles until each isolates a single root, certified by winding
+counts and polished with damped Newton iteration.
 """
 from __future__ import annotations
 
@@ -301,45 +303,69 @@ def _dedupe(roots):
     return out
 
 
+def _proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
+    """First n proper poles: asymptotic seeds, one vectorized Newton, one winding count.
+
+    Seeds k a = p pi - (i/2) ln(1 + 2 p pi /(a b)), p = 1..n, are accurate to
+    ~1e-2 and converge in a few undamped Newton steps; each root stops at
+    newton_polish's criterion and must end below the acceptance bound. The
+    rectangle [0, (n + 1/2) pi/a] x [-depth, 0] holds the first n proper
+    poles and no other root, so one argument-principle count certifies the
+    set (Delves & Lyness, Math. Comp. 21, 1967): it must be n, with the n
+    roots distinct, inside the rectangle and in order of Re k.
+    """
+    if n == 0:
+        return ()
+    a, b = pot.a, pot.b
+    p = np.arange(1, n + 1, dtype=float)
+    k = (p * math.pi - 0.5j * np.log(1 + 2 * p * math.pi / (a * b))) / a
+    for _ in range(60):
+        e2 = np.exp(2j * k * a)
+        f = 2 * k - b * (e2 - 1)
+        done = np.abs(f) < np.maximum(NEWTON_TOL, 4 * residual_noise_floor(k, pot))
+        if done.all():
+            break
+        k = np.where(done, k, k - f / (2 - 2j * a * b * e2))
+    unconverged = np.abs(2 * k - b * (np.exp(2j * k * a) - 1)) >= _acceptance_bound(k, pot)
+    if unconverged.any():
+        raise SolverError(f"seeded Newton left {unconverged.sum()} of {n} proper poles "
+                          f"unconverged, first at p = {np.argmax(unconverged) + 1}")
+    re_hi = (n + 0.5) * math.pi / a
+    depth = (0.5 * math.log(1 + 2 * (n + 1) * math.pi / (a * b)) + 1) / a
+    count = count_roots_in_rectangle((0.0, re_hi, -depth, 0.0), pot)
+    if count != n:
+        raise CompletenessError(f"winding count {count} in the proper rectangle "
+                                f"[0, {re_hi:.6g}] x [{-depth:.6g}, 0] for {n} solved poles")
+    inside = (k.real > 0) & (k.real < re_hi) & (k.imag > -depth) & (k.imag < 0)
+    if not inside.all() or np.any(np.diff(k.real) <= DUPLICATE_TOL):
+        raise CompletenessError("seeded Newton roots are not n distinct roots inside the "
+                                "proper rectangle in order of Re k")
+    return tuple(Pole(index=i + 1, k=complex(z)) for i, z in enumerate(k))
+
+
 def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int) -> PoleSet:
     """First n_proper fourth-quadrant and n_improper left-half-plane poles.
 
-    Search regions: [0, (n_proper+1) pi/a] x [-BETA_MARGIN/a, 0] and
-    [-(n_improper+1) pi/a, 0] x [-BETA_MARGIN/a, +BETA_MARGIN/a]. Completeness
-    inside each region is certified by the argument principle before returning
-    the first n poles of each family (sorted by |Re k|).
+    The proper family is seeded from its asymptote, polished by one
+    vectorized Newton and certified by one winding count, at any depth
+    (_proper_poles, which the oracle shares). The improper family is
+    bisected out of [-(n_improper+1) pi/a, 0] x [-BETA_MARGIN/a, +BETA_MARGIN/a],
+    whose completeness the argument principle certifies; its first n_improper
+    roots are returned in order of |Re k|.
     """
     if n_proper < 1 or n_improper < 1:
         raise ValueError("need at least one pole per family")
-    a = pot.a
-    regions = {
-        "proper": (0.0, (n_proper + 1) * math.pi / a, -BETA_MARGIN / a, 0.0),
-        "improper": (-(n_improper + 1) * math.pi / a, 0.0, -BETA_MARGIN / a, BETA_MARGIN / a),
-    }
-    found = {}
-    for name, rect in regions.items():
-        expected = count_roots_in_rectangle(rect, pot)
-        roots = _dedupe(_subdivide_roots(rect, pot, expected))
-        if len(roots) != expected:
-            raise CompletenessError(
-                f"{name} region: winding count {expected} but {len(roots)} roots polished")
-        bad = [k for k in roots
-               if abs(pole_equation_residual(k, pot)) > _acceptance_bound(k, pot)]
-        if bad:
-            raise SolverError(f"{name} region: unconverged roots {bad}")
-        found[name] = roots
-
-    fourth = sorted((k for k in found["proper"] if k.real > 0 and k.imag < -REAL_AXIS_TOL),
-                    key=lambda z: z.real)
-    left = sorted((k for k in found["improper"] if k.real < 0), key=lambda z: -z.real)
-    if len(fourth) < n_proper or len(left) < n_improper:
+    proper = _proper_poles(pot, n_proper)
+    depth = BETA_MARGIN / pot.a
+    rect = (-(n_improper + 1) * math.pi / pot.a, 0.0, -depth, depth)
+    expected = count_roots_in_rectangle(rect, pot)
+    roots = _dedupe(_subdivide_roots(rect, pot, expected))
+    if len(roots) != expected:
         raise CompletenessError(
-            f"requested {n_proper}+{n_improper} poles, region held {len(fourth)}+{len(left)}")
-    for k in found["proper"] + found["improper"]:
-        if k.real > REAL_AXIS_TOL and k.imag > REAL_AXIS_TOL:
-            raise CompletenessError(f"causality violation: first-quadrant root {k}")
-        if abs(k.real) <= 1e-6 and abs(k.imag) > REAL_AXIS_TOL:
-            raise CompletenessError(f"unexpected imaginary-axis root {k}")
-    proper = tuple(Pole(index=i + 1, k=k) for i, k in enumerate(fourth[:n_proper]))
+            f"improper region: winding count {expected} but {len(roots)} roots polished")
+    if len(roots) < n_improper:
+        raise CompletenessError(f"improper region [{rect[0]:.6g}, 0] x [-{depth:.6g}, "
+                                f"{depth:.6g}] held {len(roots)} of {n_improper} poles")
+    left = sorted(roots, key=lambda z: -z.real)
     improper = tuple(Pole(index=-(i + 1), k=k) for i, k in enumerate(left[:n_improper]))
     return PoleSet(potential=pot, proper=proper, improper=improper)

@@ -1,8 +1,29 @@
 """Benchmark values for the b = 9*pi/2, a = 1 shell (five-decimal precision).
 
 Pole rows are (Re k, Im k) per family; overlap rows are the squared
-coefficients C_p^2 of the k_c = 9*pi/2 initial state.
+coefficients C_p^2 of the k_c = 9*pi/2 initial state. lambert_w_proper_poles
+is an independent referee for the proper family at any (b, a).
 """
+import math
+
+import numpy as np
+from scipy.special import lambertw
+
+
+def lambert_w_proper_poles(b, a, n):
+    """First n proper poles, in order of Re k, from the Lambert W function.
+
+    With u = 2k + b the pole equation becomes w e^w = z for w = -i a u and
+    z = -i a b e^{-iab}, so every root is k_m = (i W_m(z)/a - b)/2. The
+    proper family lies on the branches m <= 0 (from m = -1 at small ab).
+    """
+    z = -1j * a * b * np.exp(-1j * a * b)
+    m = np.arange(-(n + int(a * b / (2 * math.pi)) + 2), 1)
+    k = (1j * lambertw(z, m) / a - b) / 2
+    k = np.sort_complex(k[k.real > 0])
+    assert k.size >= n, f"Lambert W branches held {k.size} proper poles, need {n}"
+    return k[:n]
+
 
 # p -> (re_k_improper, im_k_improper, re_k_proper, im_k_proper)
 REFERENCE_POLES = {

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from deltashell import (build_basis, green_expansion, green_function,
-                        normalization_coefficient, sum_rule_defect)
+from deltashell import (DeltaShellPotential, basis, build_basis, errors, green_expansion,
+                        green_function, normalization_coefficient, pole_equation_residual,
+                        sum_rule_defect)
 from deltashell.basis import gaussian_damped_sum_rule
+from deltashell.poles import pole_equation_derivative
 
 
 def test_normalization_residuals(basis40):
@@ -20,13 +22,27 @@ def test_normalization_coefficient_matches_state(ps10, pot9):
     assert A == pytest.approx(build_basis(ps10).state(1).A)
 
 
-def test_degenerate_normalization_raises(pot9):
-    from deltashell.errors import DegenerateNormalizationError
-    from deltashell.poles import Pole
-    # the closed form degenerates where 1 - i b a - 2 i k a = 0
-    k_exceptional = complex(-pot9.b / 2, -1 / (2 * pot9.a))
-    with pytest.raises(DegenerateNormalizationError):
-        normalization_coefficient(Pole(index=-3, k=k_exceptional), pot9)
+def test_exceptional_point_is_never_a_pole(ps10, pot9):
+    """The normalization denominator a (1 - i b a - 2 i k a) equals a f'(k)/2 at
+    every root and vanishes only at k_x = -b/2 - i/(2a). There, with x = ab,
+    |a f(k_x)|^2 = 1 + x e (x e - 2 sin x) >= 1 because e > 2 and sin x <= x:
+    k_x is never a pole, every pole is simple, and no degenerate-normalization
+    error path is needed.
+    """
+    for p in ps10:
+        k, b, a = p.k, pot9.b, pot9.a
+        assert a * (1 - 1j * b * a - 2j * k * a) == \
+            pytest.approx(a * pole_equation_derivative(k, pot9) / 2, rel=1e-12)
+    for b in np.geomspace(1e-3, 1e4, 29):
+        for a in np.geomspace(0.1, 10, 9):
+            k_x = complex(-b / 2, -1 / (2 * a))
+            x = a * b
+            bound = 1 + x * math.e * (x * math.e - 2 * math.sin(x))
+            got = abs(a * pole_equation_residual(k_x, DeltaShellPotential(b=b, a=a))) ** 2
+            assert got == pytest.approx(bound, rel=1e-9)
+            assert bound >= 1
+    assert not hasattr(errors, "DegenerateNormalizationError")
+    assert not hasattr(basis, "DEGENERATE_TOL")
 
 
 def test_state_vanishes_at_origin(basis40):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,8 +30,29 @@ GOLDEN_CASES = [
 ]
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
 def run(args):
     return main(args)
+
+
+def golden_mismatch(name: str, got: str, want: str) -> str:
+    """The first differing line and the largest relative deviation between numeric cells."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    i = next((j for j, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+             min(len(got_lines), len(want_lines)))
+    g = got_lines[i] if i < len(got_lines) else "<end of output>"
+    w = want_lines[i] if i < len(want_lines) else "<end of file>"
+    nums = [NUMBER.findall(text) for text in (got, want)]
+    if len(nums[0]) != len(nums[1]):
+        worst = f"numeric cells differ in number: {len(nums[0])} against {len(nums[1])}"
+    else:
+        dev = [abs(float(x) - float(y)) / (max(abs(float(x)), abs(float(y))) or 1.0)
+               for x, y in zip(*nums) if x != y]
+        worst = (f"largest relative deviation between numeric cells "
+                 f"{max(dev, default=0.0):.2e} ({len(dev)} of {len(nums[0])} cells differ)")
+    return f"{name}: first difference at line {i + 1}\n  got:    {g}\n  golden: {w}\n{worst}"
 
 
 @pytest.mark.parametrize("args,outputs", GOLDEN_CASES,
@@ -40,7 +62,19 @@ def test_cli_output_matches_golden_bytes(tmp_path, args, outputs):
         args = args + [flag, str(tmp_path / name)]
     assert run(args) == 0
     for name in outputs.values():
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        got, want = (tmp_path / name).read_bytes(), (GOLDEN / name).read_bytes()
+        if got != want:
+            pytest.fail(golden_mismatch(name, got.decode(), want.decode()), pytrace=False)
+
+
+def test_golden_mismatch_names_line_and_deviation():
+    golden = "# b = 1.5\nindex,re_k\n1,3.0\n2,-6.0\n"
+    msg = golden_mismatch("t.csv", golden.replace("-6.0", "-6.000000000003"), golden)
+    assert msg.splitlines()[:3] == ["t.csv: first difference at line 4",
+                                    "  got:    2,-6.000000000003", "  golden: 2,-6.0"]
+    assert msg.splitlines()[3] == ("largest relative deviation between numeric cells "
+                                   "5.00e-13 (1 of 5 cells differ)")
+    assert "differ in number: 3 against 5" in golden_mismatch("t.csv", golden[:-7], golden)
 
 
 def test_poles_table(tmp_path):

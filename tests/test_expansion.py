@@ -61,8 +61,8 @@ def test_overlap_fallback_provenance(ctx_ss):
 
 def test_reference_overlap_table(ctx_ss):
     for p, (rem, imm, rep, imp) in REFERENCE_OVERLAPS_SS.items():
-        c2p = ctx_ss.overlaps.pair_product(p)
-        c2m = ctx_ss.overlaps.pair_product(-p)
+        c2p = ctx_ss.overlaps.c(p) * ctx_ss.overlaps.c(p)
+        c2m = ctx_ss.overlaps.c(-p) * ctx_ss.overlaps.c(-p)
         assert c2p.real == pytest.approx(rep, abs=2e-4)
         assert c2p.imag == pytest.approx(imp, abs=2e-4)
         assert c2m.real == pytest.approx(rem, abs=2e-4)
@@ -71,7 +71,7 @@ def test_reference_overlap_table(ctx_ss):
 
 def test_box_state_dominant_coefficients(ctx_q1, ctx_q2, ctx_q6):
     for q, ctx in ((1, ctx_q1), (2, ctx_q2), (6, ctx_q6)):
-        c2 = ctx.overlaps.pair_product(q)
+        c2 = ctx.overlaps.c(q) * ctx.overlaps.c(q)
         assert c2.real == pytest.approx(REFERENCE_BOX_DOMINANCE[q], abs=1e-3)
 
 
@@ -79,7 +79,6 @@ def test_conjugate_overlap_equals_overlap(ctx_q1):
     # psi is real, so the conjugated overlap coincides; cross-check by quadrature
     st = ctx_q1.basis.state(2)
     c = ctx_q1.overlaps.c(2)
-    assert ctx_q1.overlaps.cbar(2) == c
     init = ctx_q1.initial_state
     re = quad(lambda r: (np.conj(init.amplitude(r)) * st(r)).real, 0, 1, epsabs=1e-13)[0]
     im = quad(lambda r: (np.conj(init.amplitude(r)) * st(r)).imag, 0, 1, epsabs=1e-13)[0]
@@ -121,7 +120,7 @@ def test_survival_series_matches_pointwise(ctx_q1, pot9):
         assert series.A_tail[i] == pytest.approx(A_tail, rel=1e-12)
         assert series.S[i] == pytest.approx(abs(A) ** 2, rel=1e-12)
         # the per-pole loop over E_p and Gamma_p that the array kernel replaced
-        loop = sum(ctx_q1.overlaps.pair_product(p) * cmath.exp(
+        loop = sum(ctx_q1.overlaps.c(p) * ctx_q1.overlaps.c(p) * cmath.exp(
             -1j * pole.resonance_position * t - pole.width * t / 2)
             for p, pole in enumerate(ctx_q1.pole_set.proper, start=1))
         assert A_exp == pytest.approx(loop, rel=1e-12)
@@ -149,7 +148,7 @@ def test_sign_flip_invariance(ctx_q1):
     a1 = survival_amplitude(flipped, ctx_q1.pole_set, t)[0]
     assert a0 == a1
     for p in (1, -3, 5):
-        assert flipped.pair_product(p) == ctx_q1.overlaps.pair_product(p)
+        assert flipped.c(p) * flipped.c(p) == ctx_q1.overlaps.c(p) * ctx_q1.overlaps.c(p)
 
 
 def test_wavefunction_consistency_with_survival(ctx_q1):
@@ -194,7 +193,7 @@ def test_exponential_regime_purity(ctx_q1):
     t = np.linspace(2 * tau, 5 * tau, 400)
     series_S = survival_series(ctx_q1.potential, ctx_q1.initial_state, t, 40,
                                context=ctx_q1).S
-    c1 = abs(ctx_q1.overlaps.pair_product(1))
+    c1 = abs(ctx_q1.overlaps.c(1) * ctx_q1.overlaps.c(1))
     g1 = ctx_q1.pole_set.by_index(1).width
     pure = c1 ** 2 * np.exp(-g1 * t)
     assert np.max(np.abs(series_S - pure) / series_S) < 0.05
@@ -357,7 +356,8 @@ def test_transition_time_matches_lambert_w(b, state):
     basis = _basis_at(b)
     poles, coeffs = basis.pole_set, build_overlaps(basis, TRANSITION_STATES[state])
     tau, g1 = lifetime(poles), poles.by_index(1).width
-    d = math.log(abs(ETA * tail_coefficient(coeffs, poles))) - math.log(abs(coeffs.pair_product(1)))
+    c1 = coeffs.c(1)
+    d = math.log(abs(ETA * tail_coefficient(coeffs, poles))) - math.log(abs(c1 * c1))
     arg = -(g1 / 3) * math.exp(2 * d / 3)
     late = -(3 / g1) * lambertw(arg, -1).real
     if arg >= -1 / math.e and tau <= late <= 200 * tau:
@@ -372,6 +372,7 @@ def test_tail_coefficient_summation_order(ctx_q1):
     # direct loop in that order
     direct = 0j
     for p in range(1, 41):
-        direct += ctx_q1.overlaps.pair_product(-p) / (2 * ctx_q1.pole_set.by_index(-p).k ** 3)
-        direct += ctx_q1.overlaps.pair_product(p) / (2 * ctx_q1.pole_set.by_index(p).k ** 3)
+        c_m, c_p = ctx_q1.overlaps.c(-p), ctx_q1.overlaps.c(p)
+        direct += c_m * c_m / (2 * ctx_q1.pole_set.by_index(-p).k ** 3)
+        direct += c_p * c_p / (2 * ctx_q1.pole_set.by_index(p).k ** 3)
     assert tail_coefficient(ctx_q1.overlaps, ctx_q1.pole_set) == direct

@@ -17,6 +17,8 @@ from deltashell.expansion import _overlap_quadrature
 from deltashell.oracle import _extended_proper_poles, _ray_integral
 from deltashell.poles import _acceptance_bound
 
+from reference_values import lambert_w_proper_poles
+
 # intensities x initial states x times of the ray-integral referee sweep
 SWEEP_B = (3.0, 4.5 * math.pi, 30.0, 60.0, 200.0)
 SWEEP_STATES = {"q1": box_state(1), "q2": box_state(2), "q6": box_state(6),
@@ -247,28 +249,21 @@ def test_extended_pole_tail(pot9):
     alphas = np.array([p.k.real for p in poles])
     assert np.all(np.diff(alphas) > 2)
     assert [p.index for p in poles] == list(range(1, 301))
-    head = find_poles(pot9, 10, 1).proper
-    assert all(abs(poles[i].k - head[i].k) < 1e-12 for i in range(10))
+    ref = lambert_w_proper_poles(pot9.b, pot9.a, 300)
+    np.testing.assert_allclose([p.k for p in poles], ref, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("a", [0.25, 1.0, 4.0], ids=["a0.25", "a1", "a4"])
 @pytest.mark.parametrize("b", [0.05, 0.3, 3.0, 4.5 * math.pi, 30.0, 224.0, 1000.0],
                          ids=["b0.05", "b0.3", "b3", "b4.5pi", "b30", "b224", "b1000"])
 def test_oracle_poles_against_referees(b, a):
-    """The oracle's seeded, winding-certified proper poles against the bisection
-    solver, where it succeeds (it runs out of depth at small ab and N = 300), and
-    against the pole equation in 50-digit arithmetic at every root.
+    """The seeded, winding-certified proper poles against the Lambert W roots
+    and against the pole equation in 50-digit arithmetic at every root.
     """
     pot = DeltaShellPotential(b=b, a=a)
     for n in (1, 40, 300):
         k = np.array([p.k for p in _extended_proper_poles(pot, n)])
-        assert len(k) == n
-        try:
-            ref = np.array([p.k for p in find_poles(pot, n, 1).proper])
-        except CompletenessError:
-            assert n == 300 and a * b < 0.1
-        else:
-            np.testing.assert_allclose(k, ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(k, lambert_w_proper_poles(b, a, n), rtol=1e-13, atol=0)
     with mpmath.workdps(50):
         exact = [abs(2 * z - b * (mpmath.exp(2j * z * a) - 1))
                  for z in (mpmath.mpc(kk.real, kk.imag) for kk in k)]
@@ -276,12 +271,16 @@ def test_oracle_poles_against_referees(b, a):
 
 
 def test_oracle_poles_reject_a_corrupted_certificate(monkeypatch):
-    """A winding count that disagrees with the solved roots is a typed error."""
+    """A winding count that disagrees with the solved roots is a typed error,
+    for the oracle and for find_poles, which share the proper-family solve.
+    """
     pot = DeltaShellPotential(b=2.5, a=1.0)
     for n in (1, 40):
-        monkeypatch.setattr(oracle, "count_roots_in_rectangle", lambda rect, pot, n=n: n + 1)
+        monkeypatch.setattr(poles, "count_roots_in_rectangle", lambda rect, pot, n=n: n + 1)
         with pytest.raises(CompletenessError, match="winding count"):
             _extended_proper_poles(pot, n)
+        with pytest.raises(CompletenessError, match="winding count .* proper rectangle"):
+            find_poles(pot, n, 1)
 
 
 def test_verification_solves_the_poles_once(monkeypatch):

@@ -7,11 +7,12 @@ import pytest
 
 from deltashell import (DeltaShellPotential, Quadrant, count_roots_in_rectangle,
                         find_poles, pole_equation_residual, resonance_parameters)
+from deltashell.errors import CompletenessError
 from deltashell.io import pole_set_to_csv, pole_set_to_json
 from deltashell.poles import _acceptance_bound
 from deltashell.verify import run_verification
 
-from reference_values import REFERENCE_POLES
+from reference_values import REFERENCE_POLES, lambert_w_proper_poles
 
 
 def test_residual_at_reference_roots(pot9):
@@ -122,6 +123,20 @@ def test_find_poles_small_intensity():
     ps = find_poles(pot, 3, 3)
     assert abs(ps.by_index(1).k - (2.82192 - 2.13538j)) < 1e-4
     assert all(abs(pole_equation_residual(p.k, pot)) < 1e-10 for p in ps)
+
+
+def test_find_poles_deep_proper_family():
+    """At b = 0.05, a = 1 the 200th proper pole lies at Im k = -5.07, below the
+    improper region's depth BETA_MARGIN/a = 5; the seeded proper solve has no
+    depth limit, while the bisected improper family still runs out of region.
+    """
+    pot = DeltaShellPotential(b=0.05, a=1.0)
+    ps = find_poles(pot, 200, 1)
+    k = np.array([p.k for p in ps.proper])
+    assert k[-1].imag < -5.0
+    np.testing.assert_allclose(k, lambert_w_proper_poles(pot.b, pot.a, 200), rtol=1e-13, atol=0)
+    with pytest.raises(CompletenessError, match="improper region"):
+        find_poles(pot, 200, 200)
 
 
 def test_verify_pole_check_at_large_intensity():
