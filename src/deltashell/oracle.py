@@ -127,15 +127,9 @@ def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
 
 
 @lru_cache(maxsize=16)
-def _extended_proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
-    """First n proper poles from the package's one proper-family solve, cached."""
-    return _proper_poles(pot, n)
-
-
-@lru_cache(maxsize=16)
 def _state_arrays(pot: DeltaShellPotential, n: int):
     """(k_p, A_p) of the first n proper states as read-only arrays (they are cached)."""
-    states = [ResonantState.build(p, pot) for p in _extended_proper_poles(pot, n)]
+    states = [ResonantState.build(p, pot) for p in _proper_poles(pot, n)]
     k = np.array([st.pole.k for st in states], dtype=complex)
     A = np.array([st.A for st in states], dtype=complex)
     k.flags.writeable = A.flags.writeable = False
@@ -228,7 +222,7 @@ def exact_survival_series(pot: DeltaShellPotential, init: SineInitialState, t_gr
     t_grid = np.asarray(t_grid, dtype=float)
     A_exp, A_tail = np.array([_exact_parts(pot, init, t, N, quad_settings)
                               for t in t_grid]).reshape(-1, 2).T
-    tau = lifetime(PoleSet(pot, _extended_proper_poles(pot, max(N, 1)), ()))
+    tau = lifetime(PoleSet(pot, _proper_poles(pot, max(N, 1)), ()))
     return SurvivalSeries(potential=pot, initial_state=init, lifetime=tau,
                           t=t_grid, A=A_exp + A_tail, A_exp=A_exp, A_tail=A_tail,
                           source="oracle")

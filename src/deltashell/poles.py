@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,17 +49,21 @@ def pole_equation_derivative(k: complex, pot: DeltaShellPotential) -> complex:
     return 2 - 2j * pot.a * pot.b * cmath.exp(2j * k * pot.a)
 
 
-def _reduced_residual(k: complex, pot: DeltaShellPotential) -> complex:
-    """residual(k)/k, analytically continued through k = 0.
+def _reduced_residual(k, pot: DeltaShellPotential):
+    """residual(k)/k at a scalar k (a 0-d array) or an array, continued through k = 0.
 
     Dividing out the spurious root at the origin lets rectangle boundaries
     pass through or near k = 0; the value there is 2(1 - i b a) != 0.
     """
     b, a = pot.b, pot.a
-    if abs(k) * a < 1e-8:
-        x = 2j * a
-        return 2 - b * (x + x * x * k / 2 + x * x * x * k * k / 6)
-    return (2 * k - b * (cmath.exp(2j * k * a) - 1)) / k
+    k = np.asarray(k, dtype=complex)
+    if np.abs(k).min() * a >= 1e-8:
+        return (2 * k - b * (np.exp(2j * k * a) - 1)) / k
+    small = np.abs(k) * a < 1e-8
+    x = 2j * a
+    kk = np.where(small, 1.0, k)
+    return np.where(small, 2 - b * (x + x * x * k / 2 + x * x * x * k * k / 6),
+                    (2 * kk - b * (np.exp(2j * kk * a) - 1)) / kk)
 
 
 def residual_noise_floor(k, pot: DeltaShellPotential):
@@ -117,33 +122,43 @@ def _boundary_winding(x0, x1, y0, y1, pot, max_depth=48):
     """Winding number of the reduced residual around a rectangle boundary.
 
     Edges are presampled densely enough to avoid phase aliasing (the residual
-    rotates at most ~2a radians per unit arclength away from roots), then
-    refined adaptively until adjacent samples differ by < 0.8 rad.
-    Raises BoundaryRootError if a sample lands on a near-zero of the residual.
+    rotates at most ~2a radians per unit arclength away from roots), and the
+    whole boundary is evaluated as one array. Every segment whose phase step
+    is >= 0.8 rad is halved, one level at a time, until all steps are below
+    it. Raises BoundaryRootError if a sample lands on a near-zero of the
+    residual.
     """
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
                complex(x0, y1), complex(x0, y0)]
-    scale = max(1.0, abs(pot.b))
-    total = 0.0
+    edges = []
     for c0, c1 in zip(corners[:-1], corners[1:]):
-        length = abs(c1 - c0)
-        n = max(8, int(length * 2 * pot.a / 0.5) + 1)
-        samples = [c0 + (c1 - c0) * j / n for j in range(n + 1)]
-        values = [_reduced_residual(z, pot) for z in samples]
-        for j in range(n):
-            stack = [(samples[j], samples[j + 1], values[j], values[j + 1], 0)]
-            while stack:
-                z0, z1, f0, f1, depth = stack.pop()
-                if abs(f0) < 1e-12 * scale or abs(f1) < 1e-12 * scale:
-                    raise BoundaryRootError("rectangle boundary passes through a root")
-                dphi = cmath.phase(f1 / f0)
-                if abs(dphi) < 0.8 or depth >= max_depth:
-                    total += dphi
-                else:
-                    zm = (z0 + z1) / 2
-                    fm = _reduced_residual(zm, pot)
-                    stack.append((z0, zm, f0, fm, depth + 1))
-                    stack.append((zm, z1, fm, f1, depth + 1))
+        n = max(8, int(abs(c1 - c0) * 2 * pot.a / 0.5) + 1)
+        edges.append(c0 + (c1 - c0) * np.arange(n + 1) / n)
+    z = np.concatenate(edges)
+    f = _reduced_residual(z, pot)
+    tiny = 1e-12 * max(1.0, abs(pot.b))
+    if np.abs(f).min() < tiny:
+        raise BoundaryRootError("rectangle boundary passes through a root")
+    start = np.ones(z.size, dtype=bool)  # segments run within an edge
+    start[np.cumsum([e.size for e in edges]) - 1] = False
+    i = np.flatnonzero(start)
+    seg = np.array([z[i], z[i + 1], f[i], f[i + 1]])  # rows z0, z1, f0, f1
+    total = 0.0
+    for depth in range(max_depth + 1):
+        dphi = np.angle(seg[3] / seg[2])
+        coarse = (np.abs(dphi) >= 0.8) & (depth < max_depth)
+        total += dphi[~coarse].sum()
+        if not coarse.any():
+            break
+        seg = seg[:, coarse]
+        zm = (seg[0] + seg[1]) / 2
+        fm = _reduced_residual(zm, pot)
+        if np.abs(fm).min() < tiny:
+            raise BoundaryRootError("rectangle boundary passes through a root")
+        m = zm.size
+        seg = np.concatenate((seg, seg), axis=1)  # left halves, then right halves
+        seg[1, :m] = seg[0, m:] = zm
+        seg[3, :m] = seg[2, m:] = fm
     w = total / (2 * math.pi)
     if abs(w - round(w)) > 0.15:
         raise BoundaryRootError(f"winding number did not close to an integer: {w}")
@@ -303,6 +318,7 @@ def _dedupe(roots):
     return out
 
 
+@lru_cache(maxsize=16)
 def _proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
     """First n proper poles: asymptotic seeds, one vectorized Newton, one winding count.
 
@@ -312,7 +328,9 @@ def _proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
     rectangle [0, (n + 1/2) pi/a] x [-depth, 0] holds the first n proper
     poles and no other root, so one argument-principle count certifies the
     set (Delves & Lyness, Math. Comp. 21, 1967): it must be n, with the n
-    roots distinct, inside the rectangle and in order of Re k.
+    roots distinct, inside the rectangle and in order of Re k. The result is
+    cached, so find_poles, the oracle and a proper-family scan at the same
+    (pot, n) share one solve.
     """
     if n == 0:
         return ()
@@ -348,7 +366,7 @@ def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int) -> Pole
 
     The proper family is seeded from its asymptote, polished by one
     vectorized Newton and certified by one winding count, at any depth
-    (_proper_poles, which the oracle shares). The improper family is
+    (_proper_poles, cached and shared with the oracle). The improper family is
     bisected out of [-(n_improper+1) pi/a, 0] x [-BETA_MARGIN/a, +BETA_MARGIN/a],
     whose completeness the argument principle certifies; its first n_improper
     roots are returned in order of |Re k|.

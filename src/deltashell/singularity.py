@@ -2,20 +2,29 @@
 
 A spectral singularity is an intensity b* at which an improper pole reaches
 the real k axis, making the continuum solution there singular (a real zero of
-the Jost function).
+the Jost function). A scan solves no pole table: it starts from the one pole
+it follows, certified at the bottom of the bracket by two winding counts,
+continues it in b and solves for the crossing (b*, k*) by a bordered Newton
+iteration, to the last ulp.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import NoCrossingError, SolverError, TrajectoryLostError
+from .errors import CompletenessError, NoCrossingError, SolverError, TrajectoryLostError
 from .model import DeltaShellPotential
-from .poles import Pole, find_poles, newton_polish
+from .poles import (BETA_MARGIN, Pole, _acceptance_bound, _proper_poles,
+                    count_roots_in_rectangle, newton_polish, pole_equation_derivative,
+                    pole_equation_residual)
 
 STEP_UNDERFLOW_FACTOR = 2 ** 20
 IM_TOL = 1e-10
+SEED_ITERATIONS = 4  # one already seeds Newton onto the right pole over the tested grid
+CROSSING_MAX_ITER = 50
+CROSSING_ULPS = 4  # convergence and bracket slack of the crossing, in ulp of b
 
 
 @dataclass
@@ -77,30 +86,83 @@ def track_pole(pot0: DeltaShellPotential, pole0: Pole, b_from: float, b_to: floa
 
 
 def find_singularity(a: float, family: int, b_lo: float, b_hi: float,
-                     steps: int = 21, n_poles: Optional[int] = None) -> tuple:
+                     steps: int = 21) -> tuple:
     """(b*, k*) where the tracked family's pole meets the real axis.
 
-    The family is identified by its signed index at b = b_lo; bisection on
-    Im k(b) refines the crossing to |Im k*| < 1e-10. Raises NoCrossingError
-    when the trajectory keeps a single sign of Im k across the bracket.
+    The family is identified by its signed index at b = b_lo (_start_pole),
+    tracked to b_hi by track_pole, and the crossing is solved by a bordered
+    Newton iteration (_locate_crossing). Raises NoCrossingError when the
+    trajectory keeps a single sign of Im k across the bracket, and
+    CompletenessError when the start pole's index cannot be certified.
     """
-    return _locate_crossing(_trajectory(a, family, b_lo, b_hi, steps, n_poles))
+    return _locate_crossing(_trajectory(a, family, b_lo, b_hi, steps))
 
 
-def _trajectory(a: float, family: int, b_lo: float, b_hi: float, steps: int,
-                n_poles: Optional[int] = None) -> PoleTrajectory:
+def _trajectory(a: float, family: int, b_lo: float, b_hi: float, steps: int) -> PoleTrajectory:
     """The family's pole tracked from b_lo to b_hi, identified by its index at b_lo."""
     if not (b_hi > b_lo > 0):
         raise ValueError(f"bad bracket [{b_lo}, {b_hi}]")
-    if n_poles is None:
-        n_poles = max(abs(family) + 1, 2)
     pot0 = DeltaShellPotential(b=b_lo, a=a)
-    pole0 = find_poles(pot0, n_poles, n_poles).by_index(family)
-    return track_pole(pot0, pole0, b_lo, b_hi, steps)
+    return track_pole(pot0, _start_pole(pot0, family), b_lo, b_hi, steps)
+
+
+def _improper_seed(pot: DeltaShellPotential, n: int) -> complex:
+    """Seed for the improper pole of index -n: fixed-point iterations of the pole equation.
+
+    e^{2ika} = 1 + 2k/b on the branch of family -n reads
+    k = -n pi/a - (i/2a)(log(-(1 + 2k/b)) + i pi). Taking the log of
+    -(1 + 2k/b) puts its branch cut where 1 + 2k/b is positive, away from the
+    crossing, where 1 + 2k/b = -1. The start lies off the real axis, so
+    1 + 2k/b does not vanish there.
+    """
+    a, b = pot.a, pot.b
+    k = complex(-n * math.pi, 1.0) / a
+    for _ in range(SEED_ITERATIONS):
+        k = -n * math.pi / a - 0.5j / a * (cmath.log(-(1 + 2 * k / b)) + 1j * math.pi)
+    return k
+
+
+def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
+    """The pole of the given signed index at pot, certified without a pole table.
+
+    A proper family takes the last of the seeded, winding-certified proper
+    poles. An improper family -n is seeded by _improper_seed and polished by
+    newton_polish; two winding counts over Im k in [-BETA_MARGIN/a,
+    BETA_MARGIN/a], the depth find_poles searches, certify its index: the
+    strip Re k0 +- pi/(4a) holds exactly one root, and [Re k0 + pi/(4a), 0]
+    exactly the n - 1 improper poles nearer the origin.
+    """
+    if family > 0:
+        return _proper_poles(pot, family)[-1]
+    if family == 0:
+        raise ValueError("pole index 0 is reserved")
+    n = -family
+    k0 = newton_polish(_improper_seed(pot, n), pot)
+    half, depth = math.pi / (4 * pot.a), BETA_MARGIN / pot.a
+    if not (abs(k0.imag) < depth and k0.real + half < 0):
+        raise CompletenessError(f"family {family}: seeded root {k0} lies outside the "
+                                f"certified region Re k < {-half:.6g}, |Im k| < {depth:.6g}")
+    strip = count_roots_in_rectangle((k0.real - half, k0.real + half, -depth, depth), pot)
+    inner = count_roots_in_rectangle((k0.real + half, 0.0, -depth, depth), pot)
+    if strip != 1 or inner != n - 1:
+        raise CompletenessError(f"family {family}: winding counts {strip} in the strip "
+                                f"around {k0} and {inner} nearer the origin, expected 1 "
+                                f"and {n - 1}")
+    return Pole(index=family, k=k0)
 
 
 def _locate_crossing(traj: PoleTrajectory) -> tuple:
-    """Bisect the trajectory's sign change of Im k to (b*, k*); sets traj.crossing."""
+    """Solve the trajectory's sign change of Im k for (b*, k*); sets traj.crossing.
+
+    At a spectral singularity k = x is real, so F(b, x) = 2x - b(e^{2ixa} - 1)
+    = 0 is two real equations in the two real unknowns, with
+    F_x = 2 - 2iab e^{2ixa} and F_b = -(e^{2ixa} - 1): a bordered 2x2 real
+    Newton system (Keller 1977; Allgower & Georg 1990), seeded by linear
+    interpolation between the two samples whose Im k changes sign. It stops
+    once a step moves b and x by at most CROSSING_ULPS ulp. Raises
+    NoCrossingError if an iterate leaves the samples' bracket by more than
+    CROSSING_ULPS ulp or the iteration does not converge.
+    """
     for (b1, k1), (b2, k2) in zip(traj.samples[:-1], traj.samples[1:]):
         if k1.imag == 0.0:
             traj.crossing = (b1, k1.real)
@@ -110,14 +172,31 @@ def _locate_crossing(traj: PoleTrajectory) -> tuple:
     else:
         raise NoCrossingError(f"family {traj.family}: Im k keeps one sign on "
                               f"[{traj.samples[0][0]}, {traj.samples[-1][0]}]")
-    for _ in range(201):  # 200 halvings reach rounding width; the last polishes its midpoint
-        bm = 0.5 * (b1 + b2)
-        km = newton_polish(k1, DeltaShellPotential(b=bm, a=traj.a))
-        if abs(km.imag) < IM_TOL:
-            traj.crossing = (bm, km.real)
-            return bm, km.real
-        if km.imag * k1.imag > 0:
-            b1, k1 = bm, km
-        else:
-            b2 = bm
-    raise NoCrossingError(f"bisection stalled at b={bm}, Im k={km.imag:.2e}")
+    a = traj.a
+    t = k1.imag / (k1.imag - k2.imag)
+    b, x = b1 + t * (b2 - b1), k1.real + t * (k2.real - k1.real)
+    lo, hi = min(b1, b2), max(b1, b2)
+    slack = CROSSING_ULPS * math.ulp(hi)
+    for _ in range(CROSSING_MAX_ITER):
+        pot = DeltaShellPotential(b=b, a=a)
+        f, f_x = pole_equation_residual(x, pot), pole_equation_derivative(x, pot)
+        f_b = (f - 2 * x) / b  # -(e^{2ixa} - 1)
+        det = f_b.real * f_x.imag - f_x.real * f_b.imag
+        db = (f_x.real * f.imag - f.real * f_x.imag) / det
+        dx = (f.real * f_b.imag - f_b.real * f.imag) / det
+        b, x = b + db, x + dx
+        if not lo - slack <= b <= hi + slack:
+            raise NoCrossingError(f"family {traj.family}: crossing Newton left the bracket "
+                                  f"[{lo}, {hi}] at b={b}")
+        if abs(db) <= CROSSING_ULPS * math.ulp(b) and abs(dx) <= CROSSING_ULPS * math.ulp(x):
+            break
+    else:
+        raise NoCrossingError(f"family {traj.family}: crossing Newton did not converge "
+                              f"near b={b}, k={x}")
+    pot = DeltaShellPotential(b=b, a=a)
+    residual = abs(pole_equation_residual(x, pot))
+    if residual >= _acceptance_bound(x, pot):
+        raise NoCrossingError(f"family {traj.family}: crossing residual {residual:.2e} "
+                              f"above the acceptance bound at b={b}")
+    traj.crossing = (b, x)
+    return b, x

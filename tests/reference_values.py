@@ -2,27 +2,97 @@
 
 Pole rows are (Re k, Im k) per family; overlap rows are the squared
 coefficients C_p^2 of the k_c = 9*pi/2 initial state. lambert_w_proper_poles
-is an independent referee for the proper family at any (b, a).
+and lambert_w_improper_poles are independent referees for the two pole
+families at any (b, a); boundary_winding is the scalar referee of the
+package's array winding count.
 """
+import cmath
 import math
 
 import numpy as np
 from scipy.special import lambertw
 
+from deltashell.errors import BoundaryRootError
+
+
+def _lambert_w_roots(b, a, branches):
+    """Every pole-equation root k_m = (i W_m(z)/a - b)/2 on the given branches.
+
+    With u = 2k + b the pole equation becomes w e^w = z for w = -i a u and
+    z = -i a b e^{-iab}. The removable zero k = 0 is one of these roots.
+    """
+    z = -1j * a * b * np.exp(-1j * a * b)
+    return (1j * lambertw(z, branches) / a - b) / 2
+
 
 def lambert_w_proper_poles(b, a, n):
     """First n proper poles, in order of Re k, from the Lambert W function.
 
-    With u = 2k + b the pole equation becomes w e^w = z for w = -i a u and
-    z = -i a b e^{-iab}, so every root is k_m = (i W_m(z)/a - b)/2. The
-    proper family lies on the branches m <= 0 (from m = -1 at small ab).
+    The proper family lies on the branches m <= 0 (from m = -1 at small ab).
     """
-    z = -1j * a * b * np.exp(-1j * a * b)
-    m = np.arange(-(n + int(a * b / (2 * math.pi)) + 2), 1)
-    k = (1j * lambertw(z, m) / a - b) / 2
+    k = _lambert_w_roots(b, a, np.arange(-(n + int(a * b / (2 * math.pi)) + 2), 1))
     k = np.sort_complex(k[k.real > 0])
     assert k.size >= n, f"Lambert W branches held {k.size} proper poles, need {n}"
     return k[:n]
+
+
+def lambert_w_improper_poles(b, a, n):
+    """First n improper poles, in order of -Re k (index -1, -2, ...), from Lambert W.
+
+    The improper family (Re k < 0) spreads over branches of both signs, so
+    every branch within n + ab/(2 pi) + 4 of the principal one is taken and
+    the removable zero k = 0 dropped.
+    """
+    m_max = n + int(a * b / (2 * math.pi)) + 4
+    k = _lambert_w_roots(b, a, np.arange(-m_max, m_max + 1))
+    k = k[(k.real < 0) & (np.abs(k) * a > 1e-8)]
+    k = k[np.argsort(-k.real)]
+    assert k.size >= n, f"Lambert W branches held {k.size} improper poles, need {n}"
+    return k[:n]
+
+
+def _reduced_residual(k, b, a):
+    """(2k - b (e^{2ika} - 1))/k in scalar complex arithmetic, continued through k = 0."""
+    if abs(k) * a < 1e-8:
+        x = 2j * a
+        return 2 - b * (x + x * x * k / 2 + x * x * x * k * k / 6)
+    return (2 * k - b * (cmath.exp(2j * k * a) - 1)) / k
+
+
+def boundary_winding(x0, x1, y0, y1, b, a, max_depth=48):
+    """Scalar referee of poles._boundary_winding: the same samples, one at a time.
+
+    Each edge is presampled at max(8, 4 a length + 1) segments; a depth-first
+    stack halves each segment whose phase step is >= 0.8 rad. A sample within
+    1e-12 max(1, b) of zero raises BoundaryRootError.
+    """
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
+               complex(x0, y1), complex(x0, y0)]
+    scale = max(1.0, abs(b))
+    total = 0.0
+    for c0, c1 in zip(corners[:-1], corners[1:]):
+        length = abs(c1 - c0)
+        n = max(8, int(length * 2 * a / 0.5) + 1)
+        samples = [c0 + (c1 - c0) * j / n for j in range(n + 1)]
+        values = [_reduced_residual(z, b, a) for z in samples]
+        for j in range(n):
+            stack = [(samples[j], samples[j + 1], values[j], values[j + 1], 0)]
+            while stack:
+                z0, z1, f0, f1, depth = stack.pop()
+                if abs(f0) < 1e-12 * scale or abs(f1) < 1e-12 * scale:
+                    raise BoundaryRootError("rectangle boundary passes through a root")
+                dphi = cmath.phase(f1 / f0)
+                if abs(dphi) < 0.8 or depth >= max_depth:
+                    total += dphi
+                else:
+                    zm = (z0 + z1) / 2
+                    fm = _reduced_residual(zm, b, a)
+                    stack.append((z0, zm, f0, fm, depth + 1))
+                    stack.append((zm, z1, fm, f1, depth + 1))
+    w = total / (2 * math.pi)
+    if abs(w - round(w)) > 0.15:
+        raise BoundaryRootError(f"winding number did not close to an integer: {w}")
+    return round(w)
 
 
 # p -> (re_k_improper, im_k_improper, re_k_proper, im_k_proper)

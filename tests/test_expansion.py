@@ -14,7 +14,7 @@ from deltashell import (DeltaShellPotential, OverlapSet, ResonantState, SineInit
                         wavefunction)
 from deltashell.errors import NoTransitionError
 from deltashell.expansion import ETA, _overlap_quadrature, _overlaps, build_overlaps
-from deltashell.oracle import _extended_proper_poles
+from deltashell.poles import _proper_poles
 
 from reference_values import REFERENCE_BOX_DOMINANCE, REFERENCE_OVERLAPS_SS
 
@@ -38,7 +38,7 @@ def test_overlap_closed_form_vs_quadrature(b, a):
     """
     pot = DeltaShellPotential(b=b, a=a)
     init = SineInitialState.from_wavenumber(4.5 * math.pi / a, a)
-    states = ([ResonantState.build(p, pot) for p in _extended_proper_poles(pot, 60)]
+    states = ([ResonantState.build(p, pot) for p in _proper_poles(pot, 60)]
               + list(build_basis(find_poles(pot, 10, 10)).improper))
     ref = np.array([_quad_overlap(st, init) for st in states])
     closed = np.array([overlap_coefficient(st, init) for st in states])

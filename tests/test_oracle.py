@@ -14,8 +14,8 @@ from deltashell import (GAMMA_ROTATION, DeltaShellPotential, QuadratureSettings,
                         verify)
 from deltashell.errors import CompletenessError, NearPoleError, QuadratureError
 from deltashell.expansion import _overlap_quadrature
-from deltashell.oracle import _extended_proper_poles, _ray_integral
-from deltashell.poles import _acceptance_bound
+from deltashell.oracle import _ray_integral
+from deltashell.poles import _acceptance_bound, _proper_poles
 
 from reference_values import lambert_w_proper_poles
 
@@ -244,7 +244,7 @@ def test_tilted_contour_referee(pot9, ctx_q6):
 
 
 def test_extended_pole_tail(pot9):
-    poles = _extended_proper_poles(pot9, 300)
+    poles = _proper_poles(pot9, 300)
     assert len(poles) == 300
     alphas = np.array([p.k.real for p in poles])
     assert np.all(np.diff(alphas) > 2)
@@ -262,7 +262,7 @@ def test_oracle_poles_against_referees(b, a):
     """
     pot = DeltaShellPotential(b=b, a=a)
     for n in (1, 40, 300):
-        k = np.array([p.k for p in _extended_proper_poles(pot, n)])
+        k = np.array([p.k for p in _proper_poles(pot, n)])
         np.testing.assert_allclose(k, lambert_w_proper_poles(b, a, n), rtol=1e-13, atol=0)
     with mpmath.workdps(50):
         exact = [abs(2 * z - b * (mpmath.exp(2j * z * a) - 1))
@@ -273,32 +273,44 @@ def test_oracle_poles_against_referees(b, a):
 def test_oracle_poles_reject_a_corrupted_certificate(monkeypatch):
     """A winding count that disagrees with the solved roots is a typed error,
     for the oracle and for find_poles, which share the proper-family solve.
+    A cached pole set skips its certificate, so the cache is cleared first.
     """
     pot = DeltaShellPotential(b=2.5, a=1.0)
+    _proper_poles.cache_clear()
     for n in (1, 40):
         monkeypatch.setattr(poles, "count_roots_in_rectangle", lambda rect, pot, n=n: n + 1)
         with pytest.raises(CompletenessError, match="winding count"):
-            _extended_proper_poles(pot, n)
+            _proper_poles(pot, n)
         with pytest.raises(CompletenessError, match="winding count .* proper rectangle"):
             find_poles(pot, n, 1)
 
 
 def test_verification_solves_the_poles_once(monkeypatch):
     """run_verification's one find_poles call feeds the expansion; the oracle
-    check solves its proper poles without it. The statuses stay all-pass.
+    check reuses its cached proper poles, so the proper rectangle
+    [0, 40.5 pi] x [-2.315, 0] is counted once. The statuses stay all-pass.
     """
-    calls = []
+    calls, rects = [], []
+    count = poles.count_roots_in_rectangle
 
     def counted(*args):
         calls.append(args)
         return poles.find_poles(*args)
 
+    def recorded(rect, pot):
+        rects.append(rect)
+        return count(rect, pot)
+
     # every binding run_verification could reach, so a second solve anywhere is counted
     for mod in (verify, expansion, oracle):
         if hasattr(mod, "find_poles"):
             monkeypatch.setattr(mod, "find_poles", counted)
+    monkeypatch.setattr(poles, "count_roots_in_rectangle", recorded)
+    _proper_poles.cache_clear()
     results = verify.run_verification(DeltaShellPotential(b=20.0, a=1.0))
     assert len(calls) == 1
+    proper = [r for r in rects if r[:2] == (0.0, 40.5 * math.pi)]
+    assert len(proper) == 1 and proper[0][2:] == pytest.approx((-2.315, 0.0), abs=1e-3)
     assert len(results) == 13 and all(r.status == "pass" for r in results)
 
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from deltashell import (DeltaShellPotential, Quadrant, count_roots_in_rectangle,
-                        find_poles, pole_equation_residual, resonance_parameters)
-from deltashell.errors import CompletenessError
+                        find_poles, pole_equation_residual, poles, resonance_parameters)
+from deltashell.errors import BoundaryRootError, CompletenessError
 from deltashell.io import pole_set_to_csv, pole_set_to_json
-from deltashell.poles import _acceptance_bound
+from deltashell.poles import _acceptance_bound, _boundary_winding
 from deltashell.verify import run_verification
 
-from reference_values import REFERENCE_POLES, lambert_w_proper_poles
+from reference_values import (REFERENCE_POLES, boundary_winding, lambert_w_improper_poles,
+                              lambert_w_proper_poles)
 
 
 def test_residual_at_reference_roots(pot9):
@@ -54,6 +55,67 @@ def test_count_boundary_on_root_is_handled(pot9):
     # deterministic jitter must resolve it to an integer without raising
     n = count_roots_in_rectangle((-4.5 * math.pi, -13.0, -0.1, 0.1), pot9)
     assert n in (0, 1)
+
+
+def _winding_outcome(count, *args):
+    """A winding count, or the message of the BoundaryRootError it raised."""
+    try:
+        return count(*args)
+    except BoundaryRootError as exc:
+        return f"BoundaryRootError: {exc}"
+
+
+def _assert_windings_match_referee(rects):
+    """The array winding count against the scalar referee on (rect, pot) pairs."""
+    for (x0, x1, y0, y1), pot in rects:
+        assert _winding_outcome(_boundary_winding, x0, x1, y0, y1, pot) == \
+            _winding_outcome(boundary_winding, x0, x1, y0, y1, pot.b, pot.a), \
+            f"b={pot.b!r} a={pot.a} rect={(x0, x1, y0, y1)!r}"
+
+
+def test_winding_matches_scalar_referee_on_random_rectangles():
+    """3000 seeded rectangles over b in [0.01, 1000] and five radii a."""
+    rng = np.random.default_rng(20161)
+    rects = []
+    for _ in range(3000):
+        a = float(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0]))
+        pot = DeltaShellPotential(b=float(np.exp(rng.uniform(math.log(0.01), math.log(1000)))),
+                                  a=a)
+        x0, y0 = rng.uniform(-40, 40) / a, rng.uniform(-6, 4) / a
+        rects.append(((x0, x0 + rng.uniform(0.01, 30) / a, y0, y0 + rng.uniform(0.01, 6) / a),
+                      pot))
+    _assert_windings_match_referee(rects)
+
+
+@pytest.mark.parametrize("b,a,n", [(0.3, 1.0, 40), (4.5 * math.pi, 1.0, 40), (100.0, 2.0, 200)],
+                         ids=["b0.3", "b4.5pi", "b100_a2_n200"])
+def test_winding_matches_scalar_referee_on_find_poles_rectangles(monkeypatch, b, a, n):
+    """Every rectangle find_poles counts, jittered retries included."""
+    rects = []
+
+    def recorded(x0, x1, y0, y1, pot):
+        rects.append(((x0, x1, y0, y1), pot))
+        return _boundary_winding(x0, x1, y0, y1, pot)
+
+    monkeypatch.setattr(poles, "_boundary_winding", recorded)
+    poles._proper_poles.cache_clear()
+    find_poles(DeltaShellPotential(b=b, a=a), n, n)
+    assert len(rects) > 10
+    _assert_windings_match_referee(rects)
+
+
+def test_winding_matches_scalar_referee_on_edges_through_roots(pot9):
+    """Edges through the removable zero k = 0 and through a Lambert W pole."""
+    kp = complex(lambert_w_proper_poles(pot9.b, pot9.a, 3)[2])
+    km = complex(lambert_w_improper_poles(pot9.b, pot9.a, 5)[4])  # the near-real pole
+    rects = [(-3.0, 0.0, -1.0, 1.0), (-1.0, 1.0, 0.0, 2.0), (-1.0, 1.0, -2.0, 0.0),
+             (0.0, 3.0, -1.0, 1.0), (kp.real, kp.real + 1, kp.imag, kp.imag + 1),
+             (kp.real - 1, kp.real + 1, kp.imag, kp.imag + 1),
+             (km.real - 1, km.real, -0.5, 0.5), (km.real - 1, km.real + 1, km.imag, 1.0)]
+    outcomes = [_winding_outcome(_boundary_winding, *r, pot9) for r in rects]
+    assert outcomes[:4] == [0, 0, 0, 0]  # k = 0 is a removable zero, never a root
+    assert all(o.startswith("BoundaryRootError") for o in outcomes[4:])
+    _assert_windings_match_referee([(r, pot9) for r in rects])
 
 
 def test_reference_pole_table(ps10):

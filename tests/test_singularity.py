@@ -1,13 +1,24 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
-from deltashell import (DeltaShellPotential, find_poles, find_singularity,
-                        jost_function, track_pole)
-from deltashell.errors import NoCrossingError
-from deltashell.poles import pole_equation_residual
+from deltashell import (DeltaShellPotential, PoleTrajectory, find_poles, find_singularity,
+                        jost_function, singularity, track_pole)
+from deltashell.errors import CompletenessError, NoCrossingError
+from deltashell.poles import _acceptance_bound, newton_polish, pole_equation_residual
+from deltashell.singularity import _improper_seed, _locate_crossing, _start_pole
+
+from reference_values import lambert_w_improper_poles
 
 B_STAR = 4.5 * math.pi
+
+
+def _closed_form(family, a):
+    """b* = -k* = (2n - 1) pi / (2a) for family -n, correctly rounded."""
+    with mpmath.workdps(40):
+        return float((2 * abs(family) - 1) * mpmath.pi / (2 * a))
 
 
 def test_track_pole_crossing():
@@ -55,8 +66,78 @@ def test_find_singularity_far_family(a, family):
     """
     closed = (2 * abs(family) - 1) * math.pi / (2 * a)
     b_star, k_star = find_singularity(a, family, closed - 1, closed + 1)
-    assert b_star == pytest.approx(closed, rel=1e-9)
-    assert k_star == pytest.approx(-closed, rel=1e-12)
+    assert abs(b_star - closed) <= 4 * math.ulp(closed)
+    assert abs(k_star + closed) <= 4 * math.ulp(closed)
+
+
+@pytest.mark.parametrize("a", [0.25, 1.0, 4.0], ids=["a0.25", "a1", "a4"])
+def test_find_singularity_to_the_last_ulp(a):
+    """Families -1 ... -60 on b* +- 1/a, and family -7 on [b*/2, 2 b*]: b* and
+    k* within 4 ulp of the closed form, the pole equation below the
+    acceptance bound every root meets.
+    """
+    cases = [(-n, _closed_form(-n, a) - 1 / a, _closed_form(-n, a) + 1 / a)
+             for n in range(1, 61)]
+    cases.append((-7, _closed_form(-7, a) / 2, 2 * _closed_form(-7, a)))
+    for family, b_lo, b_hi in cases:
+        closed = _closed_form(family, a)
+        b_star, k_star = find_singularity(a, family, b_lo, b_hi)
+        label = f"family {family}, a={a}, [{b_lo}, {b_hi}]"
+        assert abs(b_star - closed) <= 4 * math.ulp(closed), label
+        assert abs(k_star + closed) <= 4 * math.ulp(closed), label
+        pot = DeltaShellPotential(b=b_star, a=a)
+        assert abs(pole_equation_residual(complex(k_star), pot)) < \
+            _acceptance_bound(k_star, pot), label
+
+
+def test_crossing_newton_rejects_a_crossing_outside_its_bracket():
+    """Two samples whose Im k changes sign seed the bordered Newton, which
+    converges to b* = 9 pi/2, outside [13, 13.5]: NoCrossingError.
+    """
+    traj = PoleTrajectory(family=-5, a=1.0,
+                          samples=[(13.0, complex(-14.13, -0.08)), (13.5, complex(-14.13, 0.01))])
+    with pytest.raises(NoCrossingError, match="left the bracket"):
+        _locate_crossing(traj)
+    assert traj.crossing is None
+
+
+def test_improper_seed_polishes_to_the_lambert_w_pole():
+    """Seed + newton_polish lands on pole -n over 45 b x 5 a x 23 families,
+    and at b = 9 pi/2, a = 2, where 1 + 2k/b passes near 0 (family -5).
+    """
+    families = list(range(1, 21)) + [30, 45, 60]
+    grid = [(float(b), a) for b in np.geomspace(0.05, 1000, 45)
+            for a in (0.25, 0.5, 1.0, 2.0, 4.0)] + [(4.5 * math.pi, 2.0)]
+    for b, a in grid:
+        pot = DeltaShellPotential(b=b, a=a)
+        ref = lambert_w_improper_poles(b, a, max(families))
+        for n in families:
+            k = newton_polish(_improper_seed(pot, n), pot)
+            assert k == pytest.approx(ref[n - 1], rel=1e-12), f"b={b!r} a={a} family -{n}"
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_start_pole_certificate_agrees_with_find_poles(a):
+    """The two-count certificate picks the pole find_poles indexes -n, on a
+    geometric (b, n) grid.
+    """
+    for b in np.geomspace(0.1, 300, 23):
+        pot = DeltaShellPotential(b=float(b), a=a)
+        for n in (1, 3, 8):
+            pole = _start_pole(pot, -n)
+            assert pole.index == -n
+            assert pole.k == pytest.approx(find_poles(pot, n, n).by_index(-n).k, rel=1e-12)
+
+
+def test_start_pole_rejects_a_patched_count(monkeypatch):
+    """A winding count that disagrees with the seeded root's index is a typed error."""
+    pot = DeltaShellPotential(b=13.0, a=1.0)
+    count = singularity.count_roots_in_rectangle
+    inner = lambda rect, p: count(rect, p) + (rect[1] == 0.0)  # noqa: E731
+    for patched in (lambda rect, p: 2, lambda rect, p: 0, inner):
+        monkeypatch.setattr(singularity, "count_roots_in_rectangle", patched)
+        with pytest.raises(CompletenessError, match="winding counts"):
+            find_singularity(1.0, -5, 13.0, 15.0)
 
 
 def test_find_singularity_scan_direction_symmetry():
@@ -90,3 +171,5 @@ def test_validation():
         find_singularity(1.0, -5, 15.0, 13.0)
     with pytest.raises(ValueError):
         find_singularity(1.0, 0, 13.0, 15.0)
+    with pytest.raises(TypeError):
+        find_singularity(1.0, -5, 13.0, 15.0, 21, 6)  # n_poles is gone
