@@ -42,7 +42,7 @@ class NoCrossingError(DeltaShellError):
 
 
 class TrajectoryLostError(DeltaShellError):
-    """Continuation step size underflowed while tracking a pole."""
+    """A traced pole sample did not converge or left its family."""
 
 
 class NoTransitionError(DeltaShellError):

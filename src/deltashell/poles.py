@@ -1,11 +1,12 @@
 """Locate and classify the complex-k poles of the outgoing Green's function.
 
 The poles are the roots of 2k - b (exp(2ika) - 1) = 0 away from the removable
-zero at k = 0. The proper (fourth-quadrant) family is seeded from its
-asymptote, polished by one vectorized Newton iteration and certified by one
+zero at k = 0. _seeds holds both families' asymptotes; _newton is the one
+array Newton that polishes them, here and in singularity.py's trajectories.
+The proper (fourth-quadrant) family is seeded, polished and certified by one
 winding-number count (argument principle). The improper family is located by
 bisecting rectangles until each isolates a single root, certified by winding
-counts and polished with damped Newton iteration.
+counts and polished with damped scalar Newton iteration (newton_polish).
 """
 from __future__ import annotations
 
@@ -66,21 +67,21 @@ def _reduced_residual(k, pot: DeltaShellPotential):
                     (2 * kk - b * (np.exp(2j * kk * a) - 1)) / kk)
 
 
-def residual_noise_floor(k, pot: DeltaShellPotential):
-    """Double-precision evaluation noise of the pole-equation residual at k (or an array).
+def residual_noise_floor(k, b, a):
+    """Double-precision evaluation noise of the pole-equation residual at k; k and b broadcast.
 
     Dominated by argument reduction in exp(2ika): the phase 2|k|a is known
     only to machine epsilon relative, so the exponential term's absolute
     error grows linearly with |k|. Root positions remain accurate to
     ~noise/|f'|, a few ulps.
     """
-    mag = abs(pot.b) * (1.0 + abs(np.exp(2j * k * pot.a)))
-    return 2.3e-16 * (abs(2 * k) + mag * (2 * abs(k) * pot.a + 2.0))
+    mag = abs(b) * (1.0 + abs(np.exp(2j * k * a)))
+    return 2.3e-16 * (abs(2 * k) + mag * (2 * abs(k) * a + 2.0))
 
 
 def _acceptance_bound(k, pot: DeltaShellPotential):
     """Largest |residual| accepted at a root (or an array): ACCEPT_TOL or 8x the noise floor."""
-    return np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, pot))
+    return np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, pot.b, pot.a))
 
 
 def newton_polish(seed: complex, pot: DeltaShellPotential, tol: float = NEWTON_TOL,
@@ -92,7 +93,7 @@ def newton_polish(seed: complex, pot: DeltaShellPotential, tol: float = NEWTON_T
             f = pole_equation_residual(k, pot)
         except OverflowError:
             raise SolverError(f"residual overflow at {k}", seed=seed) from None
-        if abs(f) < max(tol, 4 * residual_noise_floor(k, pot)):
+        if abs(f) < max(tol, 4 * residual_noise_floor(k, pot.b, pot.a)):
             return k
         fp = pole_equation_derivative(k, pot)
         if fp == 0:
@@ -116,6 +117,45 @@ def newton_polish(seed: complex, pot: DeltaShellPotential, tol: float = NEWTON_T
     if abs(pole_equation_residual(k, pot)) < _acceptance_bound(k, pot):
         return k
     raise SolverError(f"Newton did not converge from seed {seed}", seed=seed)
+
+
+def _seeds(index, b, a):
+    """Asymptotic seeds of the poles of signed index `index` (one sign) at b; both broadcast.
+
+    Proper p: k a = p pi - (i/2) ln(1 + 2 p pi/(a b)), accurate to ~1e-2.
+    Improper -n: fixed-point iterations of k = -n pi/a - (i/2a)(log(-(1 + 2k/b))
+    + i pi), the branch of e^{2ika} = 1 + 2k/b, from (-n pi + i)/a off the
+    axis; the log's cut lies where 1 + 2k/b > 0, away from the crossing, where
+    1 + 2k/b = -1.
+    """
+    if np.all(np.asarray(index) > 0):
+        return (index * math.pi - 0.5j * np.log(1 + 2 * index * math.pi / (a * b))) / a
+    k = (index * math.pi + 1j) / a
+    for _ in range(4):  # one already seeds Newton onto the right pole over the tested grid
+        k = index * math.pi / a - 0.5j / a * (np.log(-(1 + 2 * k / b)) + 1j * math.pi)
+    return k
+
+
+def _newton(k, b, a):
+    """Undamped Newton on the pole equation from an array of seeds k; b broadcasts against k.
+
+    Each root stops at newton_polish's criterion, max(NEWTON_TOL, 4x the noise
+    floor), and must end below _acceptance_bound at its own b (not NaN), else
+    SolverError.
+    """
+    for _ in range(60):
+        e2 = np.exp(2j * k * a)
+        f = 2 * k - b * (e2 - 1)
+        done = np.abs(f) < np.maximum(NEWTON_TOL, 4 * residual_noise_floor(k, b, a))
+        if done.all():
+            break
+        k = np.where(done, k, k - f / (2 - 2j * a * b * e2))
+    residual = np.abs(2 * k - b * (np.exp(2j * k * a) - 1))
+    unconverged = ~(residual < np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, b, a)))
+    if unconverged.any():
+        raise SolverError(f"Newton left {unconverged.sum()} of {unconverged.size} roots "
+                          f"unconverged, first at position {np.argmax(unconverged)}")
+    return k
 
 
 def _boundary_winding(x0, x1, y0, y1, pot, max_depth=48):
@@ -320,11 +360,9 @@ def _dedupe(roots):
 
 @lru_cache(maxsize=16)
 def _proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
-    """First n proper poles: asymptotic seeds, one vectorized Newton, one winding count.
+    """First n proper poles: asymptotic seeds, one array Newton, one winding count.
 
-    Seeds k a = p pi - (i/2) ln(1 + 2 p pi /(a b)), p = 1..n, are accurate to
-    ~1e-2 and converge in a few undamped Newton steps; each root stops at
-    newton_polish's criterion and must end below the acceptance bound. The
+    The seeds (_seeds) converge in a few undamped Newton steps (_newton). The
     rectangle [0, (n + 1/2) pi/a] x [-depth, 0] holds the first n proper
     poles and no other root, so one argument-principle count certifies the
     set (Delves & Lyness, Math. Comp. 21, 1967): it must be n, with the n
@@ -335,19 +373,7 @@ def _proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
     if n == 0:
         return ()
     a, b = pot.a, pot.b
-    p = np.arange(1, n + 1, dtype=float)
-    k = (p * math.pi - 0.5j * np.log(1 + 2 * p * math.pi / (a * b))) / a
-    for _ in range(60):
-        e2 = np.exp(2j * k * a)
-        f = 2 * k - b * (e2 - 1)
-        done = np.abs(f) < np.maximum(NEWTON_TOL, 4 * residual_noise_floor(k, pot))
-        if done.all():
-            break
-        k = np.where(done, k, k - f / (2 - 2j * a * b * e2))
-    unconverged = np.abs(2 * k - b * (np.exp(2j * k * a) - 1)) >= _acceptance_bound(k, pot)
-    if unconverged.any():
-        raise SolverError(f"seeded Newton left {unconverged.sum()} of {n} proper poles "
-                          f"unconverged, first at p = {np.argmax(unconverged) + 1}")
+    k = _newton(_seeds(np.arange(1, n + 1), b, a), b, a)
     re_hi = (n + 0.5) * math.pi / a
     depth = (0.5 * math.log(1 + 2 * (n + 1) * math.pi / (a * b)) + 1) / a
     count = count_roots_in_rectangle((0.0, re_hi, -depth, 0.0), pot)
@@ -365,7 +391,7 @@ def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int) -> Pole
     """First n_proper fourth-quadrant and n_improper left-half-plane poles.
 
     The proper family is seeded from its asymptote, polished by one
-    vectorized Newton and certified by one winding count, at any depth
+    array Newton and certified by one winding count, at any depth
     (_proper_poles, cached and shared with the oracle). The improper family is
     bisected out of [-(n_improper+1) pi/a, 0] x [-BETA_MARGIN/a, +BETA_MARGIN/a],
     whose completeness the argument principle certifies; its first n_improper

@@ -1,28 +1,28 @@
-"""Spectral-singularity location by pole-trajectory continuation in the intensity b.
+"""Spectral-singularity location by tracing a pole family in the intensity b.
 
 A spectral singularity is an intensity b* at which an improper pole reaches
 the real k axis, making the continuum solution there singular (a real zero of
 the Jost function). A scan solves no pole table: it starts from the one pole
 it follows, certified at the bottom of the bracket by two winding counts,
-continues it in b and solves for the crossing (b*, k*) by a bordered Newton
-iteration, to the last ulp.
+solves that family at every sample of the b grid by one array Newton from the
+family's asymptote (poles._seeds, poles._newton) and solves for the crossing
+(b*, k*) by a bordered Newton iteration, to the last ulp.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import CompletenessError, NoCrossingError, SolverError, TrajectoryLostError
 from .model import DeltaShellPotential
-from .poles import (BETA_MARGIN, Pole, _acceptance_bound, _proper_poles,
+from .poles import (BETA_MARGIN, Pole, _acceptance_bound, _newton, _proper_poles, _seeds,
                     count_roots_in_rectangle, newton_polish, pole_equation_derivative,
                     pole_equation_residual)
 
-STEP_UNDERFLOW_FACTOR = 2 ** 20
 IM_TOL = 1e-10
-SEED_ITERATIONS = 4  # one already seeds Newton onto the right pole over the tested grid
 CROSSING_MAX_ITER = 50
 CROSSING_ULPS = 4  # convergence and bracket slack of the crossing, in ulp of b
 
@@ -44,45 +44,32 @@ class PoleTrajectory:
 
 def track_pole(pot0: DeltaShellPotential, pole0: Pole, b_from: float, b_to: float,
                steps: int) -> PoleTrajectory:
-    """Continuation in b: the previous root seeds Newton at the next intensity.
+    """pole0's family at the `steps` intensities np.linspace(b_from, b_to, steps).
 
-    The step is halved whenever Newton fails or the root jumps by more than
-    half the local inter-pole spacing (pi/(2a)); underflow below
-    (b_to - b_from)/2^20 raises TrajectoryLostError. Each sample is accepted
-    by newton_polish's rule, the same one find_poles applies.
+    Sample 0 is seeded from pole0.k, every other sample from the family's
+    asymptote at its b (_seeds), and one array Newton (_newton) polishes them
+    all under the acceptance rule find_poles applies. TrajectoryLostError is
+    raised if Newton does not converge, or if any sample, the first included,
+    ends more than half the pole spacing, pi/(2a), from the family's asymptote
+    at its b: pole0 or a seed then belongs to another family. The bound is
+    not taken between neighbouring samples, which may lie further apart than
+    pi/(2a) on one family.
     """
     if steps < 2 and b_from != b_to:
         raise ValueError("need at least 2 steps")
-    a = pot0.a
-    traj = PoleTrajectory(family=pole0.index, a=a)
-    k = newton_polish(pole0.k, DeltaShellPotential(b=b_from, a=a))
-    traj.samples.append((b_from, k))
-    if b_from == b_to:
-        return traj
-    jump_bound = math.pi / (2 * a)
-    min_step = abs(b_to - b_from) / STEP_UNDERFLOW_FACTOR
-    b = b_from
-    step = (b_to - b_from) / (steps - 1)
-    while (b_to - b) * math.copysign(1.0, b_to - b_from) > 1e-15:
-        h = step
-        while True:
-            if abs(h) < min_step:
-                raise TrajectoryLostError(f"continuation step underflow near b={b}")
-            b_next = b + h
-            if (b_to - b_next) * math.copysign(1.0, b_to - b_from) < 0:
-                b_next = b_to
-            try:
-                k_next = newton_polish(k, DeltaShellPotential(b=b_next, a=a))
-            except SolverError:
-                h /= 2
-                continue
-            if abs(k_next - k) > jump_bound:
-                h /= 2
-                continue
-            break
-        b, k = b_next, k_next
-        traj.samples.append((b, k))
-    return traj
+    a, family = pot0.a, pole0.index
+    b = np.linspace(b_from, b_to, steps if b_from != b_to else 1)
+    asymptote = _seeds(family, b, a)
+    try:
+        k = _newton(np.append(pole0.k, asymptote[1:]), b, a)
+    except SolverError as exc:
+        raise TrajectoryLostError(f"family {family} on [{b_from}, {b_to}]: {exc}") from None
+    lost = np.abs(k - asymptote) > math.pi / (2 * a)
+    if lost.any():
+        i = np.argmax(lost)
+        raise TrajectoryLostError(f"family {family}: the sample at b={b[i]} ended at {k[i]}, "
+                                  f"more than pi/(2a) from the family's asymptote")
+    return PoleTrajectory(family=family, a=a, samples=list(zip(b.tolist(), k.tolist())))
 
 
 def find_singularity(a: float, family: int, b_lo: float, b_hi: float,
@@ -106,27 +93,11 @@ def _trajectory(a: float, family: int, b_lo: float, b_hi: float, steps: int) -> 
     return track_pole(pot0, _start_pole(pot0, family), b_lo, b_hi, steps)
 
 
-def _improper_seed(pot: DeltaShellPotential, n: int) -> complex:
-    """Seed for the improper pole of index -n: fixed-point iterations of the pole equation.
-
-    e^{2ika} = 1 + 2k/b on the branch of family -n reads
-    k = -n pi/a - (i/2a)(log(-(1 + 2k/b)) + i pi). Taking the log of
-    -(1 + 2k/b) puts its branch cut where 1 + 2k/b is positive, away from the
-    crossing, where 1 + 2k/b = -1. The start lies off the real axis, so
-    1 + 2k/b does not vanish there.
-    """
-    a, b = pot.a, pot.b
-    k = complex(-n * math.pi, 1.0) / a
-    for _ in range(SEED_ITERATIONS):
-        k = -n * math.pi / a - 0.5j / a * (cmath.log(-(1 + 2 * k / b)) + 1j * math.pi)
-    return k
-
-
 def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
     """The pole of the given signed index at pot, certified without a pole table.
 
     A proper family takes the last of the seeded, winding-certified proper
-    poles. An improper family -n is seeded by _improper_seed and polished by
+    poles. An improper family -n is seeded by _seeds and polished by
     newton_polish; two winding counts over Im k in [-BETA_MARGIN/a,
     BETA_MARGIN/a], the depth find_poles searches, certify its index: the
     strip Re k0 +- pi/(4a) holds exactly one root, and [Re k0 + pi/(4a), 0]
@@ -137,7 +108,7 @@ def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
     if family == 0:
         raise ValueError("pole index 0 is reserved")
     n = -family
-    k0 = newton_polish(_improper_seed(pot, n), pot)
+    k0 = newton_polish(complex(_seeds(family, pot.b, pot.a)), pot)
     half, depth = math.pi / (4 * pot.a), BETA_MARGIN / pot.a
     if not (abs(k0.imag) < depth and k0.real + half < 0):
         raise CompletenessError(f"family {family}: seeded root {k0} lies outside the "

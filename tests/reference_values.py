@@ -29,9 +29,11 @@ def lambert_w_proper_poles(b, a, n):
     """First n proper poles, in order of Re k, from the Lambert W function.
 
     The proper family lies on the branches m <= 0 (from m = -1 at small ab).
+    The removable zero k = 0, which can come back with Re k ~ +1e-16, is
+    dropped.
     """
     k = _lambert_w_roots(b, a, np.arange(-(n + int(a * b / (2 * math.pi)) + 2), 1))
-    k = np.sort_complex(k[k.real > 0])
+    k = np.sort_complex(k[(k.real > 0) & (np.abs(k) * a > 1e-8)])
     assert k.size >= n, f"Lambert W branches held {k.size} proper poles, need {n}"
     return k[:n]
 

@@ -201,6 +201,18 @@ def test_find_poles_deep_proper_family():
         find_poles(pot, 200, 200)
 
 
+def test_lambert_w_proper_referee_drops_the_removable_zero():
+    """At b = 1.7782794100389228, a = 0.5 the Lambert W branches return the
+    removable zero with Re k ~ 1e-16; the referee drops it and agrees with the
+    seeded proper solve.
+    """
+    pot = DeltaShellPotential(b=1.7782794100389228, a=0.5)
+    ref = lambert_w_proper_poles(pot.b, pot.a, 3)
+    assert np.all(np.abs(ref) * pot.a > 1e-8)
+    k = [p.k for p in poles._proper_poles(pot, 3)]
+    np.testing.assert_allclose(k, ref, rtol=1e-13, atol=0)
+
+
 def test_verify_pole_check_at_large_intensity():
     """At b = 224 the worst residual, 1.3e-10, is within 0.46 of the acceptance bound.
 

@@ -6,11 +6,11 @@ import pytest
 
 from deltashell import (DeltaShellPotential, PoleTrajectory, find_poles, find_singularity,
                         jost_function, singularity, track_pole)
-from deltashell.errors import CompletenessError, NoCrossingError
-from deltashell.poles import _acceptance_bound, newton_polish, pole_equation_residual
-from deltashell.singularity import _improper_seed, _locate_crossing, _start_pole
+from deltashell.errors import CompletenessError, NoCrossingError, TrajectoryLostError
+from deltashell.poles import Pole, _acceptance_bound, _newton, _seeds, pole_equation_residual
+from deltashell.singularity import _locate_crossing, _start_pole
 
-from reference_values import lambert_w_improper_poles
+from reference_values import lambert_w_improper_poles, lambert_w_proper_poles
 
 B_STAR = 4.5 * math.pi
 
@@ -46,6 +46,73 @@ def test_track_pole_degenerate_range():
     traj = track_pole(pot0, pole0, 13.0, 13.0, steps=5)
     assert len(traj.samples) == 1
     assert not traj.crosses_real_axis
+
+
+def test_track_pole_samples_the_linspace_grid():
+    """`steps` samples at np.linspace(b_from, b_to, steps): both ends exact, b rising."""
+    pot0 = DeltaShellPotential(b=13.0)
+    for family, b_to, steps in ((-5, 15.0, 21), (-5, 13.7, 8), (2, 14.3, 11)):
+        traj = track_pole(pot0, _start_pole(pot0, family), 13.0, b_to, steps)
+        b = [b for b, _ in traj.samples]
+        assert len(b) == steps
+        assert b[0] == 13.0 and b[-1] == b_to
+        assert all(b2 > b1 for b1, b2 in zip(b, b[1:]))
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_trajectory_samples_are_the_lambert_w_poles(a):
+    """Families -1 ... -60 and +1 ... +5 traced over [b*/2, 2 b*] with 41 steps,
+    b* = (2n - 1) pi/(2a) for family +-n: every sample is its family's Lambert W
+    pole to rel 1e-12.
+    """
+    for family in list(range(-1, -61, -1)) + [1, 2, 3, 4, 5]:
+        n = abs(family)
+        referee = lambert_w_improper_poles if family < 0 else lambert_w_proper_poles
+        b_star = _closed_form(family, a)
+        ref = [referee(b, a, n)[n - 1] for b in np.linspace(b_star / 2, 2 * b_star, 41)]
+        pot0 = DeltaShellPotential(b=b_star / 2, a=a)
+        traj = track_pole(pot0, Pole(family, complex(ref[0])), b_star / 2, 2 * b_star, 41)
+        np.testing.assert_allclose([k for _, k in traj.samples], ref, rtol=1e-12, atol=0,
+                                   err_msg=f"family {family}, a={a}")
+
+
+def test_track_pole_loses_a_start_pole_of_another_family():
+    """A start pole of family -4 labelled -5 lies a whole pole spacing from
+    family -5's asymptote.
+    """
+    pot0 = DeltaShellPotential(b=13.0)
+    pole0 = Pole(-5, _start_pole(pot0, -4).k)
+    with pytest.raises(TrajectoryLostError, match="b=13.0 .* from the family's asymptote"):
+        track_pole(pot0, pole0, 13.0, 15.0, steps=21)
+
+
+def test_track_pole_takes_coarse_steps_along_one_family():
+    """Family -1 moves further than pi/(2a) between the 21 samples of
+    [0.05, 1000]; each sample is still its Lambert W pole.
+    """
+    pot0 = DeltaShellPotential(b=0.05)
+    traj = track_pole(pot0, _start_pole(pot0, -1), 0.05, 1000.0, 21)
+    k = np.array([k for _, k in traj.samples])
+    assert np.abs(np.diff(k)).max() > math.pi / 2
+    ref = [lambert_w_improper_poles(b, 1.0, 1)[0] for b, _ in traj.samples]
+    np.testing.assert_allclose(k, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the NaN seeds
+@pytest.mark.parametrize("name,patched,match", [
+    ("_seeds", lambda index, b, a: _seeds(index - 1, b, a), "asymptote"),
+    ("_newton", lambda k, b, a: _newton(k - math.pi / a, b, a), "asymptote"),
+    ("_seeds", lambda index, b, a: np.full(np.shape(b), complex(np.nan)), "unconverged"),
+], ids=["seeds_of_family_-6", "newton_onto_family_-6", "nan_seeds"])
+def test_track_pole_rejects_a_lost_family(monkeypatch, name, patched, match):
+    """Seeds of another family, a Newton that lands on another family and
+    seeds Newton cannot converge from raise TrajectoryLostError.
+    """
+    pot0 = DeltaShellPotential(b=13.0)
+    pole0 = _start_pole(pot0, -5)
+    monkeypatch.setattr(singularity, name, patched)
+    with pytest.raises(TrajectoryLostError, match=match):
+        track_pole(pot0, pole0, 13.0, 15.0, steps=21)
 
 
 def test_find_singularity():
@@ -102,18 +169,17 @@ def test_crossing_newton_rejects_a_crossing_outside_its_bracket():
 
 
 def test_improper_seed_polishes_to_the_lambert_w_pole():
-    """Seed + newton_polish lands on pole -n over 45 b x 5 a x 23 families,
-    and at b = 9 pi/2, a = 2, where 1 + 2k/b passes near 0 (family -5).
+    """The improper seeds, polished by the array Newton, land on pole -n over
+    45 b x 5 a x 23 families, and at b = 9 pi/2, a = 2, where 1 + 2k/b passes
+    near 0 (family -5).
     """
-    families = list(range(1, 21)) + [30, 45, 60]
+    families = np.array(list(range(1, 21)) + [30, 45, 60])
     grid = [(float(b), a) for b in np.geomspace(0.05, 1000, 45)
             for a in (0.25, 0.5, 1.0, 2.0, 4.0)] + [(4.5 * math.pi, 2.0)]
     for b, a in grid:
-        pot = DeltaShellPotential(b=b, a=a)
-        ref = lambert_w_improper_poles(b, a, max(families))
-        for n in families:
-            k = newton_polish(_improper_seed(pot, n), pot)
-            assert k == pytest.approx(ref[n - 1], rel=1e-12), f"b={b!r} a={a} family -{n}"
+        ref = lambert_w_improper_poles(b, a, families.max())[families - 1]
+        k = _newton(_seeds(-families, b, a), b, a)
+        np.testing.assert_allclose(k, ref, rtol=1e-12, atol=0, err_msg=f"b={b!r} a={a}")
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0, 4.0])
