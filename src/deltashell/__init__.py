@@ -14,9 +14,8 @@ from .basis import (ResonantBasis, ResonantState, build_basis, green_expansion,
                     normalization_coefficient, sum_rule_defect)
 from .expansion import (ETA, ExpansionContext, OverlapSet, SurvivalSeries,
                         build_expansion, build_overlaps, closure_sum, lifetime,
-                        overlap_coefficient, survival_amplitude, survival_series,
-                        tail_coefficient, transition_time, two_pole_amplitude,
-                        wavefunction)
+                        survival_amplitude, survival_series, tail_coefficient,
+                        transition_time, two_pole_amplitude, wavefunction)
 from .oracle import (GAMMA_ROTATION, QuadratureSettings,
                      exact_survival_series, green_function, jost_function,
                      propagator, residue_at_pole, resolvent_matrix_element,
@@ -33,7 +32,7 @@ __all__ = [
     "ResonantBasis", "ResonantState", "build_basis", "green_expansion",
     "normalization_coefficient", "sum_rule_defect",
     "ETA", "ExpansionContext", "OverlapSet", "SurvivalSeries", "build_expansion",
-    "build_overlaps", "closure_sum", "lifetime", "overlap_coefficient",
+    "build_overlaps", "closure_sum", "lifetime",
     "survival_amplitude", "survival_series", "tail_coefficient", "transition_time",
     "two_pole_amplitude", "wavefunction",
     "GAMMA_ROTATION", "QuadratureSettings", "exact_survival_series",

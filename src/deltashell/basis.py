@@ -3,21 +3,30 @@
 Resonant states satisfy the stationary equation with a purely outgoing
 boundary condition u'(a) = i k_p u(a) and carry the non-Hermitian
 normalization  integral_0^a u_p^2 dr + i u_p(a)^2 / (2 k_p) = 1
-(note u^2, not |u|^2).
+(note u^2, not |u|^2). A ResonantBasis holds read-only arrays k, A and B over
+both families; its ResonantState objects are views, built once per basis.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import DeltaShellPotential
-from .poles import Pole, PoleSet
+from .poles import Pole, PoleSet, _readonly
 
 
-def normalization_coefficient(pole: Pole, pot: DeltaShellPotential) -> complex:
-    """Interior amplitude A_p fixing the outgoing-state normalization.
+def _pair_count(N, n_pairs: int) -> int:
+    """N (n_pairs if N is None), checked to be an integer with 1 <= N <= n_pairs."""
+    N = n_pairs if N is None else N
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or not 1 <= N <= n_pairs:
+        raise ValueError(f"N must be an integer in [1, {n_pairs}], got {N!r}")
+    return int(N)
+
+
+def normalization_coefficient(k, pot: DeltaShellPotential):
+    """Interior amplitudes A_p fixing the outgoing-state normalization, over an array of k_p.
 
     Closed form valid at roots of the pole equation:
         A_p^2 = 2(-i b a - 2 i k a) / (a (1 - i b a - 2 i k a)),
@@ -28,8 +37,16 @@ def normalization_coefficient(pole: Pole, pot: DeltaShellPotential) -> complex:
     |a f|^2 = 1 + x e (x e - 2 sin x) >= 1 with x = ab, so every pole is
     simple and the denominator never vanishes.
     """
-    b, a, k = pot.b, pot.a, pole.k
-    return cmath.sqrt(2 * (-1j * b * a - 2j * k * a) / (a * (1 - 1j * b * a - 2j * k * a)))
+    b, a = pot.b, pot.a
+    return np.sqrt(2 * (-1j * b * a - 2j * k * a) / (a * (1 - 1j * b * a - 2j * k * a)))
+
+
+def normalization_residual(k, A, pot: DeltaShellPotential):
+    """Defect of the outgoing normalization over arrays k_p, A_p, by the closed-form integral."""
+    a = pot.a
+    interior = a / 2 - np.sin(2 * k * a) / (4 * k)
+    surface = 1j * np.sin(k * a) ** 2 / (2 * k)
+    return A * A * (interior + surface) - 1.0
 
 
 @dataclass(frozen=True)
@@ -40,12 +57,6 @@ class ResonantState:
     potential: DeltaShellPotential
     A: complex
     B: complex
-
-    @classmethod
-    def build(cls, pole: Pole, pot: DeltaShellPotential) -> "ResonantState":
-        A = normalization_coefficient(pole, pot)
-        B = A * cmath.sin(pole.k * pot.a) * cmath.exp(-1j * pole.k * pot.a)
-        return cls(pole=pole, potential=pot, A=A, B=B)
 
     def eval(self, r):
         """u_p(r) for scalar or array r >= 0; branches agree at r = a by construction."""
@@ -58,27 +69,33 @@ class ResonantState:
 
     __call__ = eval
 
-    def normalization_residual(self) -> complex:
-        """Defect of the outgoing-normalization condition, from the closed-form sin^2 integral."""
-        k, a = self.pole.k, self.potential.a
-        interior = a / 2 - cmath.sin(2 * k * a) / (4 * k)
-        surface = 1j * cmath.sin(k * a) ** 2 / (2 * k)
-        return self.A * self.A * (interior + surface) - 1.0
-
 
 class ResonantBasis:
-    """The two pole families as normalized states, addressable by signed index."""
+    """Both families' states as read-only arrays k, A and B (p = 1..n_proper, then p = -1,
+    -2, ...); proper, improper and state(p) give ResonantState views, built once per basis."""
 
     def __init__(self, pole_set: PoleSet):
         self.pole_set = pole_set
-        self.potential = pole_set.potential
-        self.proper = tuple(ResonantState.build(p, pole_set.potential)
-                            for p in pole_set.proper)
-        self.improper = tuple(ResonantState.build(p, pole_set.potential)
-                              for p in pole_set.improper)
-        pairs = (self.proper[:self.n_pairs], self.improper[:self.n_pairs])
-        self._k = np.array([[st.pole.k for st in fam] for fam in pairs], dtype=complex)
-        self._A = np.array([[st.A for st in fam] for fam in pairs], dtype=complex)
+        self.potential = pot = pole_set.potential
+        self.n_proper = n = pole_set.n_proper
+        k = np.concatenate((pole_set.k_proper, pole_set.k_improper))
+        self.n_pairs = min(n, k.size - n)
+        A = normalization_coefficient(k, pot)
+        self.k, self.A, self.B = (_readonly(x) for x in (
+            k, A, A * np.sin(k * pot.a) * np.exp(-1j * k * pot.a)))
+
+    @cached_property
+    def _states(self) -> tuple:
+        return tuple(ResonantState(pole, self.potential, A, B) for pole, A, B in
+                     zip(self.pole_set, self.A.tolist(), self.B.tolist()))
+
+    @cached_property
+    def proper(self) -> tuple:
+        return self._states[:self.n_proper]
+
+    @cached_property
+    def improper(self) -> tuple:
+        return self._states[self.n_proper:]
 
     def state(self, p: int) -> ResonantState:
         if p > 0:
@@ -87,16 +104,10 @@ class ResonantBasis:
             return self.improper[-p - 1]
         raise ValueError("state index 0 is reserved")
 
-    def _arrays(self, N: int):
+    def _arrays(self, N):
         """(k_p, A_p) for p = +-1..+-N as (2, N) arrays, row 0 proper, row 1 improper."""
-        if N > self.n_pairs:
-            raise ValueError(f"basis holds {len(self.proper)}+{len(self.improper)} states, "
-                             f"asked for N={N}")
-        return self._k[:, :N], self._A[:, :N]
-
-    @property
-    def n_pairs(self) -> int:
-        return min(len(self.proper), len(self.improper))
+        N, n = _pair_count(N, self.n_pairs), self.n_proper
+        return np.stack((self.k[:N], self.k[n:n + N])), np.stack((self.A[:N], self.A[n:n + N]))
 
 
 def build_basis(pole_set: PoleSet) -> ResonantBasis:
@@ -120,9 +131,9 @@ def sum_rule_defect(basis: ResonantBasis, r: float, rp: float, order: int, N: in
     """Partial sum over p = -N..N (p != 0) of u_p(r) u_p(r') k_p^order.
 
     order -1 and +1 have exact limit 0; order 0 has distributional limit
-    2 delta(r - r'). Raw symmetric partial sums converge slowly for order -1
-    and only in the distributional (damped) sense for orders 0 and +1; see
-    gaussian_damped_sum_rule for the regularized version.
+    2 delta(r - r'). Raw symmetric partial sums converge slowly for order -1,
+    and for orders 0 and +1 only under a weight exp(-eps k_p^2), the damping
+    the contour rotation supplies.
     """
     if order not in (-1, 0, 1):
         raise ValueError(f"order must be -1, 0 or +1, got {order}")
@@ -130,13 +141,6 @@ def sum_rule_defect(basis: ResonantBasis, r: float, rp: float, order: int, N: in
         raise ValueError("expansion is invalid at r = r' = a")
     k, uu = _interior_products(basis, r, rp, N)
     return complex(np.sum(uu * k ** order))
-
-
-def gaussian_damped_sum_rule(basis: ResonantBasis, r: float, rp: float, order: int,
-                             N: int, eps: float) -> complex:
-    """Sum rule with weight exp(-eps k_p^2), the damping the contour rotation supplies."""
-    k, uu = _interior_products(basis, r, rp, N)
-    return complex(np.sum(uu * k ** order * np.exp(-eps * k * k)))
 
 
 def green_expansion(basis: ResonantBasis, r: float, rp: float, k: complex, N: int) -> complex:

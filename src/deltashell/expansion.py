@@ -8,21 +8,23 @@ Survival amplitude (both pole families, real initial states):
 
 with eta = (4 pi i)^{-1/2} on the principal branch. The expansion is a
 long-time / exponential-regime representation; output below ~0.1 lifetimes is
-extrapolation.
+extrapolation. Every sum reads the (k, C) arrays of the pole and overlap sets,
+truncated to N pairs by one check (basis._pair_count).
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .basis import ResonantBasis, ResonantState, build_basis
+from .basis import ResonantBasis, _pair_count, build_basis
 from .errors import NoTransitionError
 from .model import DeltaShellPotential, SineInitialState
-from .poles import PoleSet, find_poles
+from .poles import PoleSet, _readonly, find_poles
 
 ETA = 1.0 / cmath.sqrt(4j * math.pi)  # = e^{-i pi/4} / (2 sqrt(pi))
 OVERLAP_FALLBACK_REL = 1e-6
@@ -128,25 +130,33 @@ def _overlaps(k, A, init: SineInitialState):
     return c, near
 
 
-def overlap_coefficient(state: ResonantState, init: SineInitialState) -> complex:
-    """C_p = integral_0^a psi(r,0) u_p(r) dr, in closed form where it is well conditioned."""
-    c, _ = _overlaps(np.array([state.pole.k]), np.array([state.A]), init)
-    return complex(c[0])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapSet:
-    """Overlap coefficients of one initial state against both pole families.
-
-    For the real-valued sine states used here Cbar_p (the conjugate-state
-    overlap) equals C_p identically, so a single array per family is stored
-    and pair products C_p Cbar_p are C_p^2.
+    """Overlaps C (read-only, (2, N): row 0 C_p, row 1 C_{-p}, p = 1..N) of one initial state
+    and the mask of those done by quadrature; proper, improper, c(p) and provenance are
+    views, built once. For the real sine states used here Cbar_p = C_p: C_p Cbar_p = C_p^2.
     """
 
     initial_state: SineInitialState
-    proper: tuple          # C_p, p = 1..N
-    improper: tuple        # C_{-p}, p = 1..N
-    provenance: tuple      # per-p ("improper_tag", "proper_tag")
+    C: np.ndarray
+    quadrature: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "C", _readonly(self.C))
+        object.__setattr__(self, "quadrature", _readonly(self.quadrature, bool))
+
+    @cached_property
+    def proper(self) -> tuple:
+        return tuple(self.C[0].tolist())
+
+    @cached_property
+    def improper(self) -> tuple:
+        return tuple(self.C[1].tolist())
+
+    @cached_property
+    def provenance(self) -> tuple:
+        tag = ("closed_form", "quadrature")  # per p: (how C_{-p} was done, how C_p was)
+        return tuple((tag[m], tag[p]) for p, m in zip(*self.quadrature.tolist()))
 
     def c(self, p: int) -> complex:
         if p > 0:
@@ -157,31 +167,17 @@ class OverlapSet:
 
     @property
     def n_pairs(self) -> int:
-        return min(len(self.proper), len(self.improper))
+        return self.C.shape[1]
 
 
 def build_overlaps(basis: ResonantBasis, init: SineInitialState) -> OverlapSet:
-    k, A = basis._arrays(basis.n_pairs)
-    c, near = _overlaps(k, A, init)
-    tag = ("closed_form", "quadrature")
-    return OverlapSet(initial_state=init, proper=tuple(complex(x) for x in c[0]),
-                      improper=tuple(complex(x) for x in c[1]),
-                      provenance=tuple((tag[m], tag[p]) for p, m in zip(*near.tolist())))
+    return OverlapSet(init, *_overlaps(*basis._arrays(basis.n_pairs), init))
 
 
-def _ordered_pair_sum(coeffs: OverlapSet, N: int, divisor) -> complex:
-    """sum_{p=1..N} [C_{-p}Cbar_{-p}/divisor(-p) + C_p Cbar_p/divisor(p)].
-
-    Summation order fixed: ascending p, improper before proper, in Python
-    complex arithmetic, so the result is reproducible to the last bit.
-    """
-    if N > coeffs.n_pairs:
-        raise ValueError(f"only {coeffs.n_pairs} coefficient pairs available")
-    total = 0j
-    for p in range(1, N + 1):
-        total += coeffs.c(-p) * coeffs.c(-p) / divisor(-p)
-        total += coeffs.c(p) * coeffs.c(p) / divisor(p)
-    return total
+def _pair_sum(coeffs: OverlapSet, N: int, divisor=1) -> complex:
+    """sum_{p=+-1..+-N} C_p Cbar_p / divisor_p as one numpy sum over the (2, N) terms."""
+    c = coeffs.C[:, :N]
+    return complex(np.sum(c * c / divisor))
 
 
 def closure_sum(coeffs: OverlapSet, N: int) -> complex:
@@ -191,7 +187,7 @@ def closure_sum(coeffs: OverlapSet, N: int) -> complex:
     with psi(a) != 0 converge to 1 + i psi(a)^2/(2b) instead (boundary-corner
     anomaly of the closure relation).
     """
-    return _ordered_pair_sum(coeffs, N, lambda p: 1) / 2
+    return _pair_sum(coeffs, _pair_count(N, coeffs.n_pairs)) / 2
 
 
 def tail_coefficient(coeffs: OverlapSet, poles: PoleSet, N: Optional[int] = None) -> complex:
@@ -199,27 +195,21 @@ def tail_coefficient(coeffs: OverlapSet, poles: PoleSet, N: Optional[int] = None
 
     The t^{-3/2} amplitude is -eta * D * t^{-3/2}.
     """
-    if N is None:
-        N = coeffs.n_pairs
-    return _ordered_pair_sum(coeffs, N, lambda p: 2 * poles.by_index(p).k ** 3)
-
-
-def _amplitude(coeffs: OverlapSet, poles: PoleSet, t, N: Optional[int]):
-    """(A, A_exp, A_tail) at a scalar time or on an array of times."""
-    if N is None:
-        N = coeffs.n_pairs
-    A_tail = -ETA * tail_coefficient(coeffs, poles, N) * t ** -1.5
-    c = np.array(coeffs.proper[:N])
-    A_exp = _pole_sum(c * c, np.array([p.k for p in poles.proper[:N]]), t)
-    return A_exp + A_tail, A_exp, A_tail
+    N = _pair_count(N, coeffs.n_pairs)
+    k = np.stack((poles.k_proper[:N], poles.k_improper[:N]))
+    return _pair_sum(coeffs, N, 2 * k ** 3)
 
 
 def survival_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float,
                        N: Optional[int] = None):
-    """(A, A_exp, A_tail) at a single positive time."""
-    if t <= 0:
+    """(A, A_exp, A_tail) at a positive time, or on an array of positive times."""
+    if np.any(np.asarray(t) <= 0):
         raise ValueError("the expansion represents t > 0 only")
-    return _amplitude(coeffs, poles, t, N)
+    N = _pair_count(N, coeffs.n_pairs)
+    A_tail = -ETA * tail_coefficient(coeffs, poles, N) * t ** -1.5
+    c = coeffs.C[0, :N]
+    A_exp = _pole_sum(c * c, poles.k_proper[:N], t)
+    return A_exp + A_tail, A_exp, A_tail
 
 
 @dataclass
@@ -281,7 +271,7 @@ def survival_series(pot: DeltaShellPotential, init: SineInitialState,
     if context is None:
         context = build_expansion(pot, init, N)
     tau = lifetime(context.pole_set)
-    A, A_exp, A_tail = _amplitude(context.overlaps, context.pole_set, t_grid, N)
+    A, A_exp, A_tail = survival_amplitude(context.overlaps, context.pole_set, t_grid, N)
     return SurvivalSeries(potential=pot, initial_state=init, lifetime=tau,
                           t=t_grid, A=A, A_exp=A_exp, A_tail=A_tail)
 
@@ -294,8 +284,7 @@ def wavefunction(context: ExpansionContext, r: float, t: float,
     if t <= 0:
         raise ValueError("the expansion represents t > 0 only")
     coeffs, basis = context.overlaps, context.basis
-    if N is None:
-        N = coeffs.n_pairs
+    N = _pair_count(N, coeffs.n_pairs)
     psi = 0j
     for p in range(1, N + 1):
         st = basis.state(p)
@@ -316,15 +305,18 @@ def two_pole_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float) -> complex:
     """
     if coeffs.n_pairs < 5 or poles.n_proper < 5:
         raise ValueError("two-pole approximation needs coefficients for p = 4, 5")
-    c = np.array(coeffs.proper[3:5])
-    return _pole_sum(c * c, np.array([poles.by_index(p).k for p in (4, 5)]), t)
+    c = coeffs.C[0, 3:5]
+    return _pole_sum(c * c, poles.k_proper[3:5], t)
 
 
 def lifetime(poles: PoleSet) -> float:
     """1 / Gamma_min over the proper family (Gamma_1 for this model)."""
-    if not poles.proper:
-        raise ValueError("lifetime needs at least one proper pole")
-    return 1.0 / min(p.width for p in poles.proper)
+    return _lifetime(poles.k_proper)
+
+
+def _lifetime(k) -> float:
+    """1 / min_p Gamma_p, Gamma_p = 4 alpha_p beta_p, over an array of proper k_p (not empty)."""
+    return 1.0 / float(np.min(4.0 * k.real * -k.imag))
 
 
 def transition_time(coeffs: OverlapSet, poles: PoleSet,

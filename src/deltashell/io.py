@@ -42,15 +42,16 @@ def _json(doc: dict) -> str:
 
 
 def _pole_columns(ps: PoleSet, basis: ResonantBasis | None) -> dict:
-    poles = list(ps.improper) + list(ps.proper)
-    columns = {"index": [p.index for p in poles],
-               "re_k": [p.k.real for p in poles],
-               "im_k": [p.k.imag for p in poles],
-               "resonance_position": [p.resonance_position for p in poles],
-               "width": [p.width for p in poles]}
-    if basis is not None:
-        A = [basis.state(p.index).A for p in poles]
-        columns.update(re_A=[x.real for x in A], im_A=[x.imag for x in A])
+    k = np.concatenate((ps.k_improper, ps.k_proper))
+    alpha, beta = k.real, -k.imag
+    columns = {"index": np.concatenate((-np.arange(1, ps.k_improper.size + 1),
+                                        np.arange(1, ps.n_proper + 1))),
+               "re_k": k.real, "im_k": k.imag,
+               "resonance_position": alpha ** 2 - beta ** 2, "width": 4.0 * alpha * beta}
+    if basis is not None:  # the basis' A_p at the table's indices
+        n = basis.n_proper
+        A = np.concatenate((basis.A[n:n + ps.k_improper.size], basis.A[:ps.n_proper]))
+        columns.update(re_A=A.real, im_A=A.imag)
     return _typed(columns)
 
 
@@ -95,10 +96,8 @@ def survival_to_json(series: SurvivalSeries, config: dict, oracle_S=None) -> str
 
 def trajectory_to_csv(traj: PoleTrajectory) -> str:
     header = {"schema_version": SCHEMA_VERSION, "family": traj.family, "a": float(traj.a)}
-    columns = {"b": [b for b, _ in traj.samples],
-               "re_k": [k.real for _, k in traj.samples],
-               "im_k": [k.imag for _, k in traj.samples],
-               "family": [traj.family] * len(traj.samples)}
+    b, k = np.array(traj.samples, dtype=complex).reshape(-1, 2).T
+    columns = {"b": b.real, "re_k": k.real, "im_k": k.imag, "family": [traj.family] * b.size}
     return _csv(header, _typed(columns))
 
 

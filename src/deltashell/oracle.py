@@ -22,12 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import ResonantState, _state_products
+from .basis import _state_products, normalization_coefficient
 from .errors import NearPoleError, QuadratureError
 from .model import DeltaShellPotential, SineInitialState
-from .poles import PoleSet, _proper_poles
-from .expansion import (SurvivalSeries, _overlap_quadrature, _overlaps, _pole_sum,
-                        _scalar_or_array, lifetime, quad)
+from .poles import _proper_poles, _readonly
+from .expansion import (SurvivalSeries, _lifetime, _overlap_quadrature, _overlaps, _pole_sum,
+                        _scalar_or_array, quad)
 
 GAMMA_ROTATION = cmath.exp(-1j * math.pi / 4)  # sqrt(-i), principal branch
 NEAR_POLE_TOL = 1e-13
@@ -101,11 +101,14 @@ def green_function(r: float, rp: float, k, pot: DeltaShellPotential):
     return _scalar_or_array(-_phi_regular(k, rlo, pot) * _f_jost_solution(k, rhi, pot) / F)
 
 
-def residue_at_pole(pole_k: complex, r: float, rp: float, pot: DeltaShellPotential,
-                    radius: float = 0.05, n_nodes: int = 128) -> complex:
-    """Numerical residue of G+ at a pole by a midpoint-trapezoid circular contour."""
+def residue_at_pole(pole_k, r: float, rp: float, pot: DeltaShellPotential,
+                    radius: float = 0.05, n_nodes: int = 128):
+    """Numerical residue of G+ at a pole, or at an array of poles, by a
+    midpoint-trapezoid circular contour.
+    """
     ring = radius * np.exp(2j * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes)
-    return complex(np.sum(green_function(r, rp, pole_k + ring, pot) * ring) / n_nodes)
+    G = green_function(r, rp, np.add.outer(pole_k, ring), pot)
+    return _scalar_or_array(np.sum(G * ring, axis=-1) / n_nodes)
 
 
 def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
@@ -129,11 +132,8 @@ def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
 @lru_cache(maxsize=16)
 def _state_arrays(pot: DeltaShellPotential, n: int):
     """(k_p, A_p) of the first n proper states as read-only arrays (they are cached)."""
-    states = [ResonantState.build(p, pot) for p in _proper_poles(pot, n)]
-    k = np.array([st.pole.k for st in states], dtype=complex)
-    A = np.array([st.A for st in states], dtype=complex)
-    k.flags.writeable = A.flags.writeable = False
-    return k, A
+    k = _proper_poles(pot, n)
+    return k, _readonly(normalization_coefficient(k, pot))
 
 
 def propagator(r: float, rp: float, t: float, pot: DeltaShellPotential,
@@ -192,9 +192,7 @@ def _oracle_overlaps(pot: DeltaShellPotential, init: SineInitialState, n: int):
     k, A = _state_arrays(pot, n)
     c = np.concatenate([_overlap_quadrature(k[:60], A[:60], init),
                         _overlaps(k[60:], A[60:], init)[0]])
-    c2 = c * c
-    c2.flags.writeable = False  # cached and shared between calls
-    return c2
+    return _readonly(c * c)  # cached and shared between calls
 
 
 def _exact_parts(pot: DeltaShellPotential, init: SineInitialState, t: float, N: int,
@@ -222,7 +220,7 @@ def exact_survival_series(pot: DeltaShellPotential, init: SineInitialState, t_gr
     t_grid = np.asarray(t_grid, dtype=float)
     A_exp, A_tail = np.array([_exact_parts(pot, init, t, N, quad_settings)
                               for t in t_grid]).reshape(-1, 2).T
-    tau = lifetime(PoleSet(pot, _proper_poles(pot, max(N, 1)), ()))
+    tau = _lifetime(_proper_poles(pot, max(N, 1)))
     return SurvivalSeries(potential=pot, initial_state=init, lifetime=tau,
                           t=t_grid, A=A_exp + A_tail, A_exp=A_exp, A_tail=A_tail,
                           source="oracle")

@@ -7,6 +7,8 @@ The proper (fourth-quadrant) family is seeded, polished and certified by one
 winding-number count (argument principle). The improper family is located by
 bisecting rectangles until each isolates a single root, certified by winding
 counts and polished with damped scalar Newton iteration (newton_polish).
+A PoleSet holds one read-only array of k per family; its Pole objects are
+views, built once per set.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -286,11 +288,34 @@ def resonance_parameters(pole: Pole) -> tuple[float, float]:
     return pole.resonance_position, pole.width
 
 
-@dataclass(frozen=True)
+def _readonly(x, dtype=complex):
+    """A read-only copy of x, safe to cache and to share between callers."""
+    x = np.array(x, dtype=dtype)
+    x.flags.writeable = False
+    return x
+
+
+@dataclass(frozen=True, eq=False)
 class PoleSet:
+    """Both families as read-only arrays, k_proper[p - 1] = k_p and k_improper[p - 1] = k_{-p},
+    of any lengths; proper, improper, by_index and iteration give Pole views, built once.
+    """
+
     potential: DeltaShellPotential
-    proper: tuple
-    improper: tuple
+    k_proper: np.ndarray
+    k_improper: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "k_proper", _readonly(self.k_proper))
+        object.__setattr__(self, "k_improper", _readonly(self.k_improper))
+
+    @cached_property
+    def proper(self) -> tuple:
+        return tuple(Pole(i, k) for i, k in enumerate(self.k_proper.tolist(), 1))
+
+    @cached_property
+    def improper(self) -> tuple:
+        return tuple(Pole(-i, k) for i, k in enumerate(self.k_improper.tolist(), 1))
 
     def __iter__(self):
         return iter(self.proper + self.improper)
@@ -304,7 +329,7 @@ class PoleSet:
 
     @property
     def n_proper(self) -> int:
-        return len(self.proper)
+        return self.k_proper.size
 
 
 def _subdivide_roots(rect, pot, expected, min_size=1e-10):
@@ -359,7 +384,7 @@ def _dedupe(roots):
 
 
 @lru_cache(maxsize=16)
-def _proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
+def _proper_poles(pot: DeltaShellPotential, n: int) -> np.ndarray:
     """First n proper poles: asymptotic seeds, one array Newton, one winding count.
 
     The seeds (_seeds) converge in a few undamped Newton steps (_newton). The
@@ -367,11 +392,11 @@ def _proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
     poles and no other root, so one argument-principle count certifies the
     set (Delves & Lyness, Math. Comp. 21, 1967): it must be n, with the n
     roots distinct, inside the rectangle and in order of Re k. The result is
-    cached, so find_poles, the oracle and a proper-family scan at the same
-    (pot, n) share one solve.
+    a cached read-only array, so find_poles, the oracle and a proper-family
+    scan at the same (pot, n) share one solve.
     """
     if n == 0:
-        return ()
+        return _readonly(())
     a, b = pot.a, pot.b
     k = _newton(_seeds(np.arange(1, n + 1), b, a), b, a)
     re_hi = (n + 0.5) * math.pi / a
@@ -384,7 +409,7 @@ def _proper_poles(pot: DeltaShellPotential, n: int) -> tuple:
     if not inside.all() or np.any(np.diff(k.real) <= DUPLICATE_TOL):
         raise CompletenessError("seeded Newton roots are not n distinct roots inside the "
                                 "proper rectangle in order of Re k")
-    return tuple(Pole(index=i + 1, k=complex(z)) for i, z in enumerate(k))
+    return _readonly(k)
 
 
 def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int) -> PoleSet:
@@ -410,6 +435,5 @@ def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int) -> Pole
     if len(roots) < n_improper:
         raise CompletenessError(f"improper region [{rect[0]:.6g}, 0] x [-{depth:.6g}, "
                                 f"{depth:.6g}] held {len(roots)} of {n_improper} poles")
-    left = sorted(roots, key=lambda z: -z.real)
-    improper = tuple(Pole(index=-(i + 1), k=k) for i, k in enumerate(left[:n_improper]))
-    return PoleSet(potential=pot, proper=proper, improper=improper)
+    improper = sorted(roots, key=lambda z: -z.real)[:n_improper]
+    return PoleSet(potential=pot, k_proper=proper, k_improper=improper)

@@ -22,7 +22,6 @@ from .poles import (BETA_MARGIN, Pole, _acceptance_bound, _newton, _proper_poles
                     count_roots_in_rectangle, newton_polish, pole_equation_derivative,
                     pole_equation_residual)
 
-IM_TOL = 1e-10
 CROSSING_MAX_ITER = 50
 CROSSING_ULPS = 4  # convergence and bracket slack of the crossing, in ulp of b
 
@@ -35,11 +34,6 @@ class PoleTrajectory:
     a: float
     samples: list = field(default_factory=list)  # (b, k) pairs, b monotone
     crossing: Optional[tuple] = None             # (b_star, k_star)
-
-    @property
-    def crosses_real_axis(self) -> bool:
-        signs = {1 if k.imag > 0 else -1 for _, k in self.samples if abs(k.imag) > IM_TOL}
-        return len(signs) == 2 or self.crossing is not None
 
 
 def track_pole(pot0: DeltaShellPotential, pole0: Pole, b_from: float, b_to: float,
@@ -104,7 +98,7 @@ def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
     exactly the n - 1 improper poles nearer the origin.
     """
     if family > 0:
-        return _proper_poles(pot, family)[-1]
+        return Pole(family, complex(_proper_poles(pot, family)[-1]))
     if family == 0:
         raise ValueError("pole index 0 is reserved")
     n = -family

@@ -16,7 +16,7 @@ from deltashell import (DeltaShellPotential, QuadratureSettings, SineInitialStat
                         jost_function, lifetime, residue_at_pole,
                         resonance_parameters, survival_amplitude,
                         survival_amplitude_exact, survival_series, transition_time)
-from deltashell.basis import green_expansion
+from deltashell.basis import green_expansion, normalization_residual
 from deltashell.cli import main as cli_main
 from deltashell.expansion import OverlapSet
 from deltashell.poles import newton_polish
@@ -217,8 +217,7 @@ def test_criterion_10_delta_resolution(pot9):
 
 def test_criterion_11_structural_identities(ps40, basis40, pot9):
     assert max(abs(jost_function(p.k, pot9)) for p in ps40) < 1e-10
-    for st in basis40.proper + basis40.improper:
-        assert abs(st.normalization_residual()) < 1e-10
+    assert np.max(np.abs(normalization_residual(basis40.k, basis40.A, pot9))) < 1e-10
     for p in range(1, 6):
         st = basis40.state(p)
         num = residue_at_pole(st.pole.k, 0.3, 0.6, pot9)
@@ -233,9 +232,7 @@ def test_criterion_11_structural_identities(ps40, basis40, pot9):
 def test_criterion_12_property_suite(ctx_q1, pot9, tmp_path):
     # sign-flip invariance of S(t)
     flipped = OverlapSet(initial_state=ctx_q1.overlaps.initial_state,
-                         proper=tuple(-c for c in ctx_q1.overlaps.proper),
-                         improper=tuple(-c for c in ctx_q1.overlaps.improper),
-                         provenance=ctx_q1.overlaps.provenance)
+                         C=-ctx_q1.overlaps.C, quadrature=ctx_q1.overlaps.quadrature)
     t_probe = 0.9
     assert survival_amplitude(flipped, ctx_q1.pole_set, t_probe)[0] == \
         survival_amplitude(ctx_q1.overlaps, ctx_q1.pole_set, t_probe)[0]

@@ -7,14 +7,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import lambertw
 
-from deltashell import (DeltaShellPotential, OverlapSet, ResonantState, SineInitialState,
-                        box_state, build_basis, closure_sum, find_poles, lifetime,
-                        overlap_coefficient, survival_amplitude, survival_series,
-                        tail_coefficient, transition_time, two_pole_amplitude,
-                        wavefunction)
+from deltashell import (DeltaShellPotential, OverlapSet, SineInitialState, box_state,
+                        build_basis, build_expansion, closure_sum, find_poles,
+                        green_expansion, lifetime, poles, sum_rule_defect, survival_amplitude,
+                        survival_series, tail_coefficient, transition_time,
+                        two_pole_amplitude, wavefunction)
 from deltashell.errors import NoTransitionError
 from deltashell.expansion import ETA, _overlap_quadrature, _overlaps, build_overlaps
-from deltashell.poles import _proper_poles
 
 from reference_values import REFERENCE_BOX_DOMINANCE, REFERENCE_OVERLAPS_SS
 
@@ -24,8 +23,7 @@ def logslope(t, S, t1, t2):
     return np.polyfit(t[m], np.log(S[m]), 1)[0]
 
 
-def _quad_overlap(st, init):
-    k, A = st.pole.k, st.A
+def _quad_overlap(k, A, init):
     f = lambda r: init.N_c * math.sin(init.k_c * r) * A * cmath.sin(k * r)
     return quad(f, 0.0, init.a, complex_func=True, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
@@ -38,12 +36,10 @@ def test_overlap_closed_form_vs_quadrature(b, a):
     """
     pot = DeltaShellPotential(b=b, a=a)
     init = SineInitialState.from_wavenumber(4.5 * math.pi / a, a)
-    states = ([ResonantState.build(p, pot) for p in _proper_poles(pot, 60)]
-              + list(build_basis(find_poles(pot, 10, 10)).improper))
-    ref = np.array([_quad_overlap(st, init) for st in states])
-    closed = np.array([overlap_coefficient(st, init) for st in states])
-    k = np.array([st.pole.k for st in states])
-    A = np.array([st.A for st in states])
+    basis = build_basis(find_poles(pot, 60, 10))
+    k, A = basis.k, basis.A
+    ref = np.array([_quad_overlap(kp, Ap, init) for kp, Ap in zip(k, A)])
+    closed, _ = _overlaps(k, A, init)
     gauss = _overlap_quadrature(k, A, init)
     assert np.max(np.abs(closed - ref)) < 1e-12
     assert np.max(np.abs(gauss - ref)) < 1e-12
@@ -140,9 +136,7 @@ def test_survival_series_grid_validation(ctx_q1, pot9):
 def test_sign_flip_invariance(ctx_q1):
     """u_p -> -u_p flips every C_p but leaves pair products and S(t) unchanged."""
     flipped = OverlapSet(initial_state=ctx_q1.overlaps.initial_state,
-                         proper=tuple(-c for c in ctx_q1.overlaps.proper),
-                         improper=tuple(-c for c in ctx_q1.overlaps.improper),
-                         provenance=ctx_q1.overlaps.provenance)
+                         C=-ctx_q1.overlaps.C, quadrature=ctx_q1.overlaps.quadrature)
     t = 0.8
     a0 = survival_amplitude(ctx_q1.overlaps, ctx_q1.pole_set, t)[0]
     a1 = survival_amplitude(flipped, ctx_q1.pole_set, t)[0]
@@ -175,6 +169,69 @@ def test_wavefunction_basics(ctx_q1):
         wavefunction(ctx_q1, 1.2, 0.7)
     with pytest.raises(ValueError):
         wavefunction(ctx_q1, 0.5, 0.0)
+
+
+# every entry point that truncates the pole sums at N pairs, on a 10-pair context
+TRUNCATED = {
+    "survival_series": lambda ctx, N: survival_series(ctx.potential, ctx.initial_state,
+                                                      [0.5], N, context=ctx),
+    "survival_amplitude": lambda ctx, N: survival_amplitude(ctx.overlaps, ctx.pole_set, 0.5, N),
+    "closure_sum": lambda ctx, N: closure_sum(ctx.overlaps, N),
+    "tail_coefficient": lambda ctx, N: tail_coefficient(ctx.overlaps, ctx.pole_set, N),
+    "wavefunction": lambda ctx, N: wavefunction(ctx, 0.5, 0.5, N),
+    "sum_rule_defect": lambda ctx, N: sum_rule_defect(ctx.basis, 0.3, 0.6, -1, N),
+    "green_expansion": lambda ctx, N: green_expansion(ctx.basis, 0.3, 0.6, 2.0, N),
+}
+
+
+@pytest.fixture(scope="module")
+def ctx10(pot9):
+    return build_expansion(pot9, box_state(1), 10)
+
+
+@pytest.mark.parametrize("N", [-3, 0, 11, 2.0])
+@pytest.mark.parametrize("entry", list(TRUNCATED))
+def test_truncation_outside_the_held_pairs_is_rejected(ctx10, entry, N):
+    """N must be an integer with 1 <= N <= n_pairs: a negative N no longer
+    drops pairs from the end, N = 0 no longer returns an empty sum and
+    N > n_pairs no longer raises IndexError.
+    """
+    with pytest.raises(ValueError, match=r"N must be an integer in \[1, 10\]"):
+        TRUNCATED[entry](ctx10, N)
+    TRUNCATED[entry](ctx10, 10)
+
+
+def test_cached_arrays_are_read_only_and_views_match_them(ctx_q1, pot9):
+    """The arrays a pole set, a basis and an overlap set hold, and the cached
+    proper-pole solve they share, refuse writes; every view equals its array
+    element bit for bit and is built once.
+    """
+    ps, basis, ov = ctx_q1.pole_set, ctx_q1.basis, ctx_q1.overlaps
+    arrays = [poles._proper_poles(pot9, 40), ps.k_proper, ps.k_improper,
+              basis.k, basis.A, basis.B, ov.C, ov.quadrature]
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = x[1]
+    n = ps.n_proper
+
+    def same(views, array):
+        return np.array(views, dtype=array.dtype).tobytes() == array.tobytes()
+
+    assert same([p.k for p in ps], np.concatenate((ps.k_proper, ps.k_improper)))
+    assert [p.index for p in ps] == list(range(1, n + 1)) + list(range(-1, -n - 1, -1))
+    states = basis.proper + basis.improper
+    assert same([st.pole.k for st in states], basis.k)
+    assert same([st.A for st in states], basis.A)
+    assert same([st.B for st in states], basis.B)
+    assert same(ov.proper, ov.C[0]) and same(ov.improper, ov.C[1])
+    assert same([ov.c(-p) for p in range(1, 41)], ov.C[1])
+    assert ps.proper is ps.proper and basis.state(3) is basis.state(3)
+    assert basis.state(-2).pole is ps.by_index(-2)
+    # a set built from a caller's array keeps its own copy
+    k = np.array(ps.k_proper)
+    copy = poles.PoleSet(pot9, k, ps.k_improper)
+    k[0] = 0
+    assert copy.k_proper[0] == ps.k_proper[0]
 
 
 def test_wavefunction_single_pole_profile(ctx_q1):
@@ -320,9 +377,8 @@ def test_transition_time(ctx_ss, ctx_q1):
 def test_transition_time_scale_invariance(ctx_q1):
     """Doubling all pair products rescales both sides equally."""
     doubled = OverlapSet(initial_state=ctx_q1.overlaps.initial_state,
-                         proper=tuple(math.sqrt(2) * c for c in ctx_q1.overlaps.proper),
-                         improper=tuple(math.sqrt(2) * c for c in ctx_q1.overlaps.improper),
-                         provenance=ctx_q1.overlaps.provenance)
+                         C=math.sqrt(2) * ctx_q1.overlaps.C,
+                         quadrature=ctx_q1.overlaps.quadrature)
     t0 = transition_time(ctx_q1.overlaps, ctx_q1.pole_set)
     t1 = transition_time(doubled, ctx_q1.pole_set)
     assert t1 == pytest.approx(t0, rel=1e-9)
@@ -368,11 +424,9 @@ def test_transition_time_matches_lambert_w(b, state):
 
 
 def test_tail_coefficient_summation_order(ctx_q1):
-    # fixed order: ascending p, improper before proper; spot-check against a
-    # direct loop in that order
-    direct = 0j
-    for p in range(1, 41):
-        c_m, c_p = ctx_q1.overlaps.c(-p), ctx_q1.overlaps.c(p)
-        direct += c_m * c_m / (2 * ctx_q1.pole_set.by_index(-p).k ** 3)
-        direct += c_p * c_p / (2 * ctx_q1.pole_set.by_index(p).k ** 3)
-    assert tail_coefficient(ctx_q1.overlaps, ctx_q1.pole_set) == direct
+    # fixed order: one numpy sum over the (2, N) array of terms, row 0 proper
+    # and row 1 improper; the same expression written out gives the same bits
+    ps, C = ctx_q1.pole_set, ctx_q1.overlaps.C
+    k = np.stack((ps.k_proper[:40], ps.k_improper[:40]))
+    assert tail_coefficient(ctx_q1.overlaps, ps) == complex(np.sum(C * C / (2 * k ** 3)))
+    assert closure_sum(ctx_q1.overlaps, 40) == complex(np.sum(C * C)) / 2

@@ -1,0 +1,43 @@
+"""The benchmark's workloads read the package's objects, and its checks pass.
+
+perfbench reads poles, states and overlaps through their object views
+(ps.proper + ps.improper, st.pole.k, st.A, ec.overlaps). Two of its paths run
+here in-process, from the unedited perfbench/workloads.py, so a change to
+those views that the benchmark cannot read fails in Tier-1.
+"""
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+from deltashell import box_state
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("b,a", [(20.0, 0.5), (4.5 * math.pi, 1.0)])
+def test_spectrum_pole_table_passes_the_benchmark_checks(workloads, b, a):
+    out = workloads.Spectrum.keep_table(workloads.Spectrum.table(b, a, 10))
+    checks = workloads.checks
+    errors = (checks.pole_table(out["kp"], out["km"], b, a, 10)
+              + checks.state_amplitudes(out["state_k"], out["state_A"], a, f"b={b} a={a}"))
+    assert errors == []
+    assert out["index"] == list(range(1, 11)) + list(range(-1, -11, -1))
+
+
+def test_decay_state_passes_the_benchmark_checks(workloads):
+    ctx = {"b": workloads.NINE_HALF_PI}
+    workloads.Decay.table(ctx)
+    out = workloads.Decay.keep_state(workloads.Decay.state(ctx, box_state(1), [1.0]))
+    errors, rel = workloads.Decay.check_state(out)
+    assert errors == []
+    assert rel < workloads.checks.EXPANSION_AMPLITUDE_ABS

@@ -209,8 +209,7 @@ def test_lambert_w_proper_referee_drops_the_removable_zero():
     pot = DeltaShellPotential(b=1.7782794100389228, a=0.5)
     ref = lambert_w_proper_poles(pot.b, pot.a, 3)
     assert np.all(np.abs(ref) * pot.a > 1e-8)
-    k = [p.k for p in poles._proper_poles(pot, 3)]
-    np.testing.assert_allclose(k, ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(poles._proper_poles(pot, 3), ref, rtol=1e-13, atol=0)
 
 
 def test_verify_pole_check_at_large_intensity():
