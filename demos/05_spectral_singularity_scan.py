@@ -23,7 +23,7 @@ print(f"family -5 starts at k = {pole0.k:.6f} for b = 13")
 
 traj = track_pole(pot0, pole0, 13.0, 15.0, steps=21)
 print("continuation in b (every 4th sample):")
-for b, k in traj.samples[::4]:
+for b, k in zip(traj.b[::4], traj.k[::4]):
     print(f"  b = {b:7.4f}:  k = {k.real:10.6f} {k.imag:+10.6f}i")
 
 b_star, k_star = find_singularity(1.0, -5, 13.0, 15.0)
@@ -35,8 +35,7 @@ print(f"|Jost(k*)| = {abs(F):.2e}: a real zero of the Jost function")
 print("the proper family never crosses (no singularity there):")
 pole1 = find_poles(pot0, 2, 2).by_index(1)
 traj1 = track_pole(pot0, pole1, 13.0, 15.0, steps=21)
-print(f"  Im k_1 stays in [{min(k.imag for _, k in traj1.samples):.4f}, "
-      f"{max(k.imag for _, k in traj1.samples):.4f}]")
+print(f"  Im k_1 stays in [{traj1.k.imag.min():.4f}, {traj1.k.imag.max():.4f}]")
 
 (out_dir / "trajectory_family_m5.csv").write_text(trajectory_to_csv(traj))
 (out_dir / "singularity_report.json").write_text(

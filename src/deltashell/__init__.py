@@ -16,8 +16,7 @@ from .expansion import (ETA, ExpansionContext, OverlapSet, SurvivalSeries,
                         build_expansion, build_overlaps, closure_sum, lifetime,
                         survival_amplitude, survival_series, tail_coefficient,
                         transition_time, two_pole_amplitude, wavefunction)
-from .oracle import (GAMMA_ROTATION, QuadratureSettings,
-                     exact_survival_series, green_function, jost_function,
+from .oracle import (GAMMA_ROTATION, QuadratureSettings, green_function, jost_function,
                      propagator, residue_at_pole, resolvent_matrix_element,
                      survival_amplitude_exact)
 from .singularity import PoleTrajectory, find_singularity, track_pole
@@ -35,9 +34,8 @@ __all__ = [
     "build_overlaps", "closure_sum", "lifetime",
     "survival_amplitude", "survival_series", "tail_coefficient", "transition_time",
     "two_pole_amplitude", "wavefunction",
-    "GAMMA_ROTATION", "QuadratureSettings", "exact_survival_series",
-    "green_function", "jost_function", "propagator", "residue_at_pole",
-    "resolvent_matrix_element", "survival_amplitude_exact",
+    "GAMMA_ROTATION", "QuadratureSettings", "green_function", "jost_function", "propagator",
+    "residue_at_pole", "resolvent_matrix_element", "survival_amplitude_exact",
     "PoleTrajectory", "find_singularity", "track_pole",
     "run_verification",
 ]

@@ -123,7 +123,7 @@ def cmd_survival(args) -> int:
               "n_pole_pairs": args.n, "samples": args.samples,
               "spacing": args.spacing, "t_min": float(grid[0]),
               "t_max": float(grid[-1]), "lifetime": tau, "seed": args.seed,
-              "source": series.source}
+              "source": "expansion"}
     write = dsio.survival_to_json if args.format == "json" else dsio.survival_to_csv
     _write(args.out, write(series, config, oracle_S))
     return EXIT_OK

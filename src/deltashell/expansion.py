@@ -223,7 +223,6 @@ class SurvivalSeries:
     A: np.ndarray
     A_exp: np.ndarray
     A_tail: np.ndarray
-    source: str = "expansion"
 
     @property
     def S(self) -> np.ndarray:
@@ -310,12 +309,8 @@ def two_pole_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float) -> complex:
 
 
 def lifetime(poles: PoleSet) -> float:
-    """1 / Gamma_min over the proper family (Gamma_1 for this model)."""
-    return _lifetime(poles.k_proper)
-
-
-def _lifetime(k) -> float:
-    """1 / min_p Gamma_p, Gamma_p = 4 alpha_p beta_p, over an array of proper k_p (not empty)."""
+    """1 / min_p Gamma_p, Gamma_p = 4 alpha_p beta_p, over the proper family (Gamma_1 here)."""
+    k = poles.k_proper
     return 1.0 / float(np.min(4.0 * k.real * -k.imag))
 
 
@@ -330,8 +325,9 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
     crossing, also when the early one lies in the bracket too.
     """
     tau = lifetime(poles)
-    g1 = poles.by_index(1).width
-    lhs_amp = abs(coeffs.c(1) * coeffs.c(1))
+    k1, c1 = complex(poles.k_proper[0]), complex(coeffs.C[0, 0])
+    g1 = 4.0 * k1.real * -k1.imag
+    lhs_amp = abs(c1 * c1)
     rhs_amp = abs(ETA * tail_coefficient(coeffs, poles))
     if lhs_amp == 0 or rhs_amp == 0:
         raise NoTransitionError("degenerate term amplitudes")

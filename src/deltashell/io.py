@@ -50,6 +50,10 @@ def _pole_columns(ps: PoleSet, basis: ResonantBasis | None) -> dict:
                "resonance_position": alpha ** 2 - beta ** 2, "width": 4.0 * alpha * beta}
     if basis is not None:  # the basis' A_p at the table's indices
         n = basis.n_proper
+        if basis.potential != ps.potential or n < ps.n_proper or \
+                basis.k.size - n < ps.k_improper.size:
+            raise ValueError("the basis must be built on the pole set's potential and hold "
+                             "at least its poles per family")
         A = np.concatenate((basis.A[n:n + ps.k_improper.size], basis.A[:ps.n_proper]))
         columns.update(re_A=A.real, im_A=A.imag)
     return _typed(columns)
@@ -58,8 +62,9 @@ def _pole_columns(ps: PoleSet, basis: ResonantBasis | None) -> dict:
 def pole_set_to_csv(ps: PoleSet, basis: ResonantBasis | None = None) -> str:
     """CSV table of all poles, improper family first (most negative index last).
 
-    Passing the matching basis appends re_A, im_A columns of the state
-    amplitudes.
+    Passing a basis of the same potential, with at least the table's poles
+    per family, appends re_A, im_A columns of the state amplitudes; any other
+    basis is a ValueError.
     """
     header = {"schema_version": SCHEMA_VERSION,
               "b": float(ps.potential.b), "a": float(ps.potential.a)}
@@ -90,14 +95,14 @@ def survival_to_csv(series: SurvivalSeries, config: dict, oracle_S=None) -> str:
 
 def survival_to_json(series: SurvivalSeries, config: dict, oracle_S=None) -> str:
     return _json({"schema_version": SCHEMA_VERSION, "config": config,
-                  "source": series.source, "lifetime": series.lifetime,
+                  "source": "expansion", "lifetime": series.lifetime,
                   "data": _survival_columns(series, oracle_S)})
 
 
 def trajectory_to_csv(traj: PoleTrajectory) -> str:
     header = {"schema_version": SCHEMA_VERSION, "family": traj.family, "a": float(traj.a)}
-    b, k = np.array(traj.samples, dtype=complex).reshape(-1, 2).T
-    columns = {"b": b.real, "re_k": k.real, "im_k": k.imag, "family": [traj.family] * b.size}
+    columns = {"b": traj.b, "re_k": traj.k.real, "im_k": traj.k.imag,
+               "family": [traj.family] * traj.b.size}
     return _csv(header, _typed(columns))
 
 

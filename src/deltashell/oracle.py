@@ -26,11 +26,11 @@ from .basis import _state_products, normalization_coefficient
 from .errors import NearPoleError, QuadratureError
 from .model import DeltaShellPotential, SineInitialState
 from .poles import _proper_poles, _readonly
-from .expansion import (SurvivalSeries, _lifetime, _overlap_quadrature, _overlaps, _pole_sum,
-                        _scalar_or_array, quad)
+from .expansion import _overlap_quadrature, _overlaps, _pole_sum, _scalar_or_array, quad
 
 GAMMA_ROTATION = cmath.exp(-1j * math.pi / 4)  # sqrt(-i), principal branch
 NEAR_POLE_TOL = 1e-13
+RAY_CUTOFF = 40.0  # the ray ends at |z| = sqrt(RAY_CUTOFF / t), where e^{-z^2 t} = e^{-40}
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class QuadratureSettings:
     epsabs: float = 1e-13
     epsrel: float = 1e-11
     limit: int = 4000        # most Gauss-Kronrod panels per ray integral
-    lam: float = 40.0        # truncate the ray at |z| = sqrt(lam / t)
     t_min: float = 0.05      # smallest supported propagation time
     max_error: float = 1e-9  # estimated-error gate
 
@@ -101,24 +100,23 @@ def green_function(r: float, rp: float, k, pot: DeltaShellPotential):
     return _scalar_or_array(-_phi_regular(k, rlo, pot) * _f_jost_solution(k, rhi, pot) / F)
 
 
-def residue_at_pole(pole_k, r: float, rp: float, pot: DeltaShellPotential,
-                    radius: float = 0.05, n_nodes: int = 128):
+def residue_at_pole(pole_k, r: float, rp: float, pot: DeltaShellPotential):
     """Numerical residue of G+ at a pole, or at an array of poles, by a
-    midpoint-trapezoid circular contour.
+    midpoint-trapezoid rule on 128 nodes of the circle of radius 0.05 around it.
     """
-    ring = radius * np.exp(2j * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes)
+    ring = 0.05 * np.exp(2j * math.pi * (np.arange(128) + 0.5) / 128)
     G = green_function(r, rp, np.add.outer(pole_k, ring), pot)
-    return _scalar_or_array(np.sum(G * ring, axis=-1) / n_nodes)
+    return _scalar_or_array(np.sum(G * ring, axis=-1) / 128)
 
 
 def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
-    """(1/pi) integral_{-Z}^{Z} f(gamma z) e^{-z^2 t} z dz on the rotated ray, Z^2 = lam/t.
+    """(1/pi) integral_{-Z}^{Z} f(gamma z) e^{-z^2 t} z dz on the rotated ray, Z^2 = RAY_CUTOFF/t.
 
     f takes the array of ray points gamma z; z = 0 is a breakpoint and never a node.
     """
     if t < quad_settings.t_min:
         raise ValueError(f"t={t} below the supported minimum {quad_settings.t_min}")
-    Z = math.sqrt(quad_settings.lam / t)
+    Z = math.sqrt(RAY_CUTOFF / t)
     value, estimate = quad(lambda z: z * np.exp(-z * z * t) * f(GAMMA_ROTATION * z),
                            -Z, Z, points=[0.0], epsabs=quad_settings.epsabs,
                            epsrel=quad_settings.epsrel, limit=quad_settings.limit)
@@ -195,32 +193,11 @@ def _oracle_overlaps(pot: DeltaShellPotential, init: SineInitialState, n: int):
     return _readonly(c * c)  # cached and shared between calls
 
 
-def _exact_parts(pot: DeltaShellPotential, init: SineInitialState, t: float, N: int,
-                 quad_settings: QuadratureSettings):
-    """(proper-pole residue sum, rotated-ray integral) of the exact survival amplitude."""
-    ray = _ray_integral(lambda k: resolvent_matrix_element(k, pot, init), t, quad_settings)
-    return _pole_sum(_oracle_overlaps(pot, init, N), _state_arrays(pot, N)[0], t), ray
-
-
 def survival_amplitude_exact(pot: DeltaShellPotential, init: SineInitialState, t: float,
                              N: int = 40,
                              quad_settings: QuadratureSettings = DEFAULT_QUAD) -> complex:
-    """A(t) = <psi(0)| g(t) |psi(0)> with the double space integral done analytically."""
-    residues, ray = _exact_parts(pot, init, t, N, quad_settings)
-    return residues + ray
-
-
-def exact_survival_series(pot: DeltaShellPotential, init: SineInitialState, t_grid,
-                          N: int = 40,
-                          quad_settings: QuadratureSettings = DEFAULT_QUAD):
-    """S_exact on a grid, packaged like the expansion series (source = 'oracle').
-
-    A_exp is the proper-pole residue sum and A_tail the rotated-ray integral.
+    """A(t) = <psi(0)| g(t) |psi(0)> with the double space integral done analytically:
+    the proper-pole residue sum plus the rotated-ray integral.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    A_exp, A_tail = np.array([_exact_parts(pot, init, t, N, quad_settings)
-                              for t in t_grid]).reshape(-1, 2).T
-    tau = _lifetime(_proper_poles(pot, max(N, 1)))
-    return SurvivalSeries(potential=pot, initial_state=init, lifetime=tau,
-                          t=t_grid, A=A_exp + A_tail, A_exp=A_exp, A_tail=A_tail,
-                          source="oracle")
+    ray = _ray_integral(lambda k: resolvent_matrix_element(k, pot, init), t, quad_settings)
+    return _pole_sum(_oracle_overlaps(pot, init, N), _state_arrays(pot, N)[0], t) + ray

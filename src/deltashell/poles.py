@@ -30,6 +30,8 @@ REAL_AXIS_TOL = 1e-9
 JITTER = 1e-6
 BETA_MARGIN = 5.0  # search depth below the real axis, in units of 1/a
 MAX_JITTER_RETRIES = 8
+WINDING_MAX_DEPTH = 48  # halvings of a boundary segment before its phase step is taken as is
+MIN_RECT_SIZE = 1e-10   # smallest rectangle side the improper bisection splits
 # deterministic jitter directions, scaled by JITTER * rectangle diagonal
 _JITTER_SEQ = [1 + 1j, -1 + 2j, 2 - 1j, -2 - 2j, 1 - 3j, -3 + 1j, 3 + 2j, -1 - 1j]
 
@@ -86,16 +88,15 @@ def _acceptance_bound(k, pot: DeltaShellPotential):
     return np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, pot.b, pot.a))
 
 
-def newton_polish(seed: complex, pot: DeltaShellPotential, tol: float = NEWTON_TOL,
-                  max_iter: int = 100) -> complex:
-    """Damped Newton iteration on the pole equation."""
+def newton_polish(seed: complex, pot: DeltaShellPotential) -> complex:
+    """Damped Newton iteration on the pole equation, at most 100 steps."""
     k = seed
-    for _ in range(max_iter):
+    for _ in range(100):
         try:
             f = pole_equation_residual(k, pot)
         except OverflowError:
             raise SolverError(f"residual overflow at {k}", seed=seed) from None
-        if abs(f) < max(tol, 4 * residual_noise_floor(k, pot.b, pot.a)):
+        if abs(f) < max(NEWTON_TOL, 4 * residual_noise_floor(k, pot.b, pot.a)):
             return k
         fp = pole_equation_derivative(k, pot)
         if fp == 0:
@@ -160,15 +161,15 @@ def _newton(k, b, a):
     return k
 
 
-def _boundary_winding(x0, x1, y0, y1, pot, max_depth=48):
+def _boundary_winding(x0, x1, y0, y1, pot):
     """Winding number of the reduced residual around a rectangle boundary.
 
     Edges are presampled densely enough to avoid phase aliasing (the residual
     rotates at most ~2a radians per unit arclength away from roots), and the
     whole boundary is evaluated as one array. Every segment whose phase step
     is >= 0.8 rad is halved, one level at a time, until all steps are below
-    it. Raises BoundaryRootError if a sample lands on a near-zero of the
-    residual.
+    it or WINDING_MAX_DEPTH levels are done. Raises BoundaryRootError if a
+    sample lands on a near-zero of the residual.
     """
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
                complex(x0, y1), complex(x0, y0)]
@@ -186,9 +187,9 @@ def _boundary_winding(x0, x1, y0, y1, pot, max_depth=48):
     i = np.flatnonzero(start)
     seg = np.array([z[i], z[i + 1], f[i], f[i + 1]])  # rows z0, z1, f0, f1
     total = 0.0
-    for depth in range(max_depth + 1):
+    for depth in range(WINDING_MAX_DEPTH + 1):
         dphi = np.angle(seg[3] / seg[2])
-        coarse = (np.abs(dphi) >= 0.8) & (depth < max_depth)
+        coarse = (np.abs(dphi) >= 0.8) & (depth < WINDING_MAX_DEPTH)
         total += dphi[~coarse].sum()
         if not coarse.any():
             break
@@ -332,7 +333,7 @@ class PoleSet:
         return self.k_proper.size
 
 
-def _subdivide_roots(rect, pot, expected, min_size=1e-10):
+def _subdivide_roots(rect, pot, expected):
     """Recursively bisect rect until each piece isolates one root; Newton polish."""
     roots = []
     stack = [(rect, expected)]
@@ -355,7 +356,7 @@ def _subdivide_roots(rect, pot, expected, min_size=1e-10):
                 roots.append(k)
                 continue
             # Newton escaped the box or hit the origin; bisect toward the root.
-        if max(x1 - x0, y1 - y0) < min_size:
+        if max(x1 - x0, y1 - y0) < MIN_RECT_SIZE:
             raise SolverError(f"rectangle underflow at {(x0, x1, y0, y1)} holding {count} roots")
         if x1 - x0 >= y1 - y0:
             xm = (x0 + x1) / 2

@@ -5,35 +5,42 @@ the real k axis, making the continuum solution there singular (a real zero of
 the Jost function). A scan solves no pole table: it starts from the one pole
 it follows, certified at the bottom of the bracket by two winding counts,
 solves that family at every sample of the b grid by one array Newton from the
-family's asymptote (poles._seeds, poles._newton) and solves for the crossing
-(b*, k*) by a bordered Newton iteration, to the last ulp.
+family's asymptote (poles._seeds, poles._newton), keeps the grid and the roots
+as the trajectory's arrays b and k, and solves for the crossing (b*, k*) by a
+bordered Newton iteration, to the last ulp.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import CompletenessError, NoCrossingError, SolverError, TrajectoryLostError
 from .model import DeltaShellPotential
-from .poles import (BETA_MARGIN, Pole, _acceptance_bound, _newton, _proper_poles, _seeds,
-                    count_roots_in_rectangle, newton_polish, pole_equation_derivative,
+from .poles import (BETA_MARGIN, Pole, _acceptance_bound, _newton, _proper_poles, _readonly,
+                    _seeds, count_roots_in_rectangle, newton_polish, pole_equation_derivative,
                     pole_equation_residual)
 
 CROSSING_MAX_ITER = 50
 CROSSING_ULPS = 4  # convergence and bracket slack of the crossing, in ulp of b
 
 
-@dataclass
+@dataclass(eq=False)
 class PoleTrajectory:
-    """Samples of one pole family's position as b varies, plus any axis crossing."""
+    """One pole family's positions k (complex) at the monotone intensities b (float), as
+    read-only 1-D arrays of one length, plus any axis crossing (b_star, k_star).
+    """
 
     family: int
     a: float
-    samples: list = field(default_factory=list)  # (b, k) pairs, b monotone
-    crossing: Optional[tuple] = None             # (b_star, k_star)
+    b: np.ndarray
+    k: np.ndarray
+    crossing: Optional[tuple] = None
+
+    def __post_init__(self):
+        self.b, self.k = _readonly(self.b, float), _readonly(self.k)
 
 
 def track_pole(pot0: DeltaShellPotential, pole0: Pole, b_from: float, b_to: float,
@@ -47,7 +54,8 @@ def track_pole(pot0: DeltaShellPotential, pole0: Pole, b_from: float, b_to: floa
     ends more than half the pole spacing, pi/(2a), from the family's asymptote
     at its b: pole0 or a seed then belongs to another family. The bound is
     not taken between neighbouring samples, which may lie further apart than
-    pi/(2a) on one family.
+    pi/(2a) on one family. The trajectory holds the grid as b and Newton's
+    roots as k.
     """
     if steps < 2 and b_from != b_to:
         raise ValueError("need at least 2 steps")
@@ -63,7 +71,7 @@ def track_pole(pot0: DeltaShellPotential, pole0: Pole, b_from: float, b_to: floa
         i = np.argmax(lost)
         raise TrajectoryLostError(f"family {family}: the sample at b={b[i]} ended at {k[i]}, "
                                   f"more than pi/(2a) from the family's asymptote")
-    return PoleTrajectory(family=family, a=a, samples=list(zip(b.tolist(), k.tolist())))
+    return PoleTrajectory(family=family, a=a, b=b, k=k)
 
 
 def find_singularity(a: float, family: int, b_lo: float, b_hi: float,
@@ -92,10 +100,12 @@ def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
 
     A proper family takes the last of the seeded, winding-certified proper
     poles. An improper family -n is seeded by _seeds and polished by
-    newton_polish; two winding counts over Im k in [-BETA_MARGIN/a,
-    BETA_MARGIN/a], the depth find_poles searches, certify its index: the
-    strip Re k0 +- pi/(4a) holds exactly one root, and [Re k0 + pi/(4a), 0]
-    exactly the n - 1 improper poles nearer the origin.
+    newton_polish; two winding counts over |Im k| <= max(BETA_MARGIN,
+    a |Im k0| + 1)/a certify its index: the strip Re k0 +- pi/(4a) holds
+    exactly one root, and [Re k0 + pi/(4a), 0] exactly the n - 1 improper
+    poles nearer the origin. The depth is find_poles' BETA_MARGIN/a unless
+    k0 lies deeper, as family -n does at small ab, where a |Im k0| grows like
+    (1/2) ln(2 n pi/(ab)).
     """
     if family > 0:
         return Pole(family, complex(_proper_poles(pot, family)[-1]))
@@ -103,10 +113,11 @@ def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
         raise ValueError("pole index 0 is reserved")
     n = -family
     k0 = newton_polish(complex(_seeds(family, pot.b, pot.a)), pot)
-    half, depth = math.pi / (4 * pot.a), BETA_MARGIN / pot.a
-    if not (abs(k0.imag) < depth and k0.real + half < 0):
+    half = math.pi / (4 * pot.a)
+    depth = max(BETA_MARGIN, pot.a * abs(k0.imag) + 1) / pot.a
+    if not k0.real + half < 0:
         raise CompletenessError(f"family {family}: seeded root {k0} lies outside the "
-                                f"certified region Re k < {-half:.6g}, |Im k| < {depth:.6g}")
+                                f"certified region Re k < {-half:.6g}")
     strip = count_roots_in_rectangle((k0.real - half, k0.real + half, -depth, depth), pot)
     inner = count_roots_in_rectangle((k0.real + half, 0.0, -depth, depth), pot)
     if strip != 1 or inner != n - 1:
@@ -123,20 +134,22 @@ def _locate_crossing(traj: PoleTrajectory) -> tuple:
     = 0 is two real equations in the two real unknowns, with
     F_x = 2 - 2iab e^{2ixa} and F_b = -(e^{2ixa} - 1): a bordered 2x2 real
     Newton system (Keller 1977; Allgower & Georg 1990), seeded by linear
-    interpolation between the two samples whose Im k changes sign. It stops
+    interpolation between the first two samples whose Im k changes sign; a
+    sample before them with Im k exactly 0 is the crossing itself. It stops
     once a step moves b and x by at most CROSSING_ULPS ulp. Raises
     NoCrossingError if an iterate leaves the samples' bracket by more than
     CROSSING_ULPS ulp or the iteration does not converge.
     """
-    for (b1, k1), (b2, k2) in zip(traj.samples[:-1], traj.samples[1:]):
-        if k1.imag == 0.0:
-            traj.crossing = (b1, k1.real)
-            return b1, k1.real
-        if k1.imag * k2.imag < 0:
-            break
-    else:
+    y = traj.k.imag
+    hit = np.flatnonzero((y[:-1] == 0) | (y[:-1] * y[1:] < 0))
+    if hit.size == 0:
         raise NoCrossingError(f"family {traj.family}: Im k keeps one sign on "
-                              f"[{traj.samples[0][0]}, {traj.samples[-1][0]}]")
+                              f"[{traj.b[0]}, {traj.b[-1]}]")
+    i = hit[0]
+    (b1, b2), (k1, k2) = traj.b[i:i + 2].tolist(), traj.k[i:i + 2].tolist()
+    if k1.imag == 0.0:
+        traj.crossing = (b1, k1.real)
+        return b1, k1.real
     a = traj.a
     t = k1.imag / (k1.imag - k2.imag)
     b, x = b1 + t * (b2 - b1), k1.real + t * (k2.real - k1.real)

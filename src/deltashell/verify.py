@@ -121,7 +121,8 @@ def run_verification(pot: DeltaShellPotential, init: SineInitialState | None = N
                                note="limit includes the boundary term i psi(a)^2/(2b)"))
 
     tau = lifetime(ctx.pole_set)
-    r1 = ctx.pole_set.by_index(1).resonance_position / ctx.pole_set.by_index(1).width
+    k1 = complex(k[0])  # R1 = E_1 / Gamma_1 = (alpha^2 - beta^2) / (4 alpha beta)
+    r1 = (k1.real ** 2 - k1.imag ** 2) / (4.0 * k1.real * -k1.imag)
     t_check = max(3 * tau, 1.2 * DEFAULT_QUAD.t_min)
     if r1 > 3:
         a_exp, _, _ = survival_amplitude(ctx.overlaps, ctx.pole_set, t_check, min(n, 40))

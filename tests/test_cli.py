@@ -225,6 +225,14 @@ def test_scan_finds_singularity(tmp_path, monkeypatch):
     assert len(lines) > 10
 
 
+def test_scan_from_small_ab(tmp_path):
+    """Family -10 from b = 0.01 at a = 0.25 starts below find_poles' depth."""
+    out = tmp_path / "scan.json"
+    assert run(["scan", "--family", "-10", "--a", "0.25", "--b-range", "0.01:358",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["b_star"] == pytest.approx(19 * math.pi / 0.5, rel=1e-15)
+
+
 def test_scan_no_crossing_exit_code(capsys):
     assert run(["scan", "--family", "1", "--b-range", "13:15"]) == 3
     assert "sign" in capsys.readouterr().err.lower()

@@ -234,6 +234,23 @@ def test_cached_arrays_are_read_only_and_views_match_them(ctx_q1, pot9):
     assert copy.k_proper[0] == ps.k_proper[0]
 
 
+def test_sums_and_times_build_no_views(pot9):
+    """Overlaps, the survival series, the closure and two-pole sums and the
+    transition time read the arrays: no Pole, ResonantState or overlap-tuple
+    view is cached on a fresh context's pole set, basis or overlap sets.
+    """
+    ctx = build_expansion(pot9, box_state(2), 40)
+    ov = build_overlaps(ctx.basis, ctx.initial_state)
+    tau = lifetime(ctx.pole_set)
+    survival_series(pot9, ctx.initial_state, np.linspace(0.5, 5, 50) * tau, 40, context=ctx)
+    closure_sum(ov, 40)
+    two_pole_amplitude(ov, ctx.pole_set, tau)
+    transition_time(ctx.overlaps, ctx.pole_set)
+    for obj in (ctx.pole_set, ctx.basis, ctx.overlaps, ov):
+        cached = {"proper", "improper", "_states", "provenance"} & set(vars(obj))
+        assert not cached, f"{type(obj).__name__} built {sorted(cached)}"
+
+
 def test_wavefunction_single_pole_profile(ctx_q1):
     """At a few lifetimes only the p = 1 term survives: |psi|^2 tracks |u_1|^2."""
     tau = lifetime(ctx_q1.pole_set)

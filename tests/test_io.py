@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from deltashell import box_state, survival_series
+from deltashell import DeltaShellPotential, box_state, build_basis, find_poles, survival_series
 from deltashell import io as dsio
 
 CONFIG = {"b": 14.137166941154069, "samples": 7, "source": "expansion"}
@@ -40,3 +40,18 @@ def test_csv_and_json_carry_the_same_columns(name, ps10, basis40, series):
                          "survival_oracle": "S_oracle"}[name]
     for i, column in enumerate(names):
         assert [r[i] for r in rows] == [repr(v) for v in json_columns[column]], column
+
+
+@pytest.mark.parametrize("write", [dsio.pole_set_to_csv, dsio.pole_set_to_json],
+                         ids=["csv", "json"])
+@pytest.mark.parametrize("b,n_proper,n_improper", [(1.0, 10, 10), (None, 3, 3),
+                                                   (None, 10, 3), (None, 3, 10)],
+                         ids=["other_potential", "fewer_both", "fewer_improper",
+                              "fewer_proper"])
+def test_pole_table_rejects_a_basis_of_other_poles(write, pot9, ps10, b, n_proper, n_improper):
+    """A basis of another potential, or with fewer states in a family than the
+    table, would write amplitudes under other poles' rows: ValueError.
+    """
+    pot = pot9 if b is None else DeltaShellPotential(b=b)
+    with pytest.raises(ValueError, match="basis"):
+        write(ps10, build_basis(find_poles(pot, n_proper, n_improper)))

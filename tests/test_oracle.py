@@ -349,20 +349,6 @@ def test_exact_reproduces_oscillation_phases(pot9, ctx_ss):
         assert peak > s_exact(upper)
 
 
-def test_exact_survival_series_schema(pot9, ctx_q1):
-    from deltashell import exact_survival_series
-    tau = lifetime(ctx_q1.pole_set)
-    series = exact_survival_series(pot9, ctx_q1.initial_state, [tau, 2 * tau], N=40)
-    assert series.source == "oracle"
-    assert len(series.S) == 2
-    expected = abs(survival_amplitude_exact(pot9, ctx_q1.initial_state, tau, N=40)) ** 2
-    assert series.S[0] == pytest.approx(expected, rel=1e-12)
-    # the proper-pole residue sum and the rotated-ray integral, not A and zero
-    assert np.all(series.A_exp + series.A_tail == series.A)
-    assert np.all(series.S_exp_only != series.S)
-    assert np.all(series.S_tail_only > 0)
-
-
 def test_gauss_kronrod_constants():
     """K15 integrates x^d on [-1, 1] exactly through degree 22, G7 through 13."""
     x, wk, wg = expansion.GK_NODES, expansion.GK_KRONROD, expansion.GK_GAUSS
@@ -416,7 +402,7 @@ def test_ray_integral_against_scipy_quad(b):
                 return z * math.exp(-z * z * t) * resolvent_matrix_element(
                     GAMMA_ROTATION * z, pot, init)
 
-            Z = math.sqrt(tight.lam / t)
+            Z = math.sqrt(oracle.RAY_CUTOFF / t)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IntegrationWarning)
                 ref = scipy_quad(integrand, -Z, Z, complex_func=True, points=[0.0],

@@ -1,9 +1,10 @@
 """The benchmark's workloads read the package's objects, and its checks pass.
 
 perfbench reads poles, states and overlaps through their object views
-(ps.proper + ps.improper, st.pole.k, st.A, ec.overlaps). Two of its paths run
-here in-process, from the unedited perfbench/workloads.py, so a change to
-those views that the benchmark cannot read fails in Tier-1.
+(ps.proper + ps.improper, st.pole.k, st.A, ec.overlaps) and scans through
+find_singularity. Three of its paths run here in-process, from the unedited
+perfbench/workloads.py, so a change to those views, or a scan result, that the
+benchmark cannot read or rejects fails in Tier-1.
 """
 import importlib.util
 import math
@@ -32,6 +33,12 @@ def test_spectrum_pole_table_passes_the_benchmark_checks(workloads, b, a):
               + checks.state_amplitudes(out["state_k"], out["state_A"], a, f"b={b} a={a}"))
     assert errors == []
     assert out["index"] == list(range(1, 11)) + list(range(-1, -11, -1))
+
+
+def test_spectrum_scan_passes_the_benchmark_checks(workloads):
+    out = workloads.Spectrum.scan(-5, 1.0)
+    assert workloads.checks.singularity(out["b_star"], out["k_star"], out["family"],
+                                        out["a"]) == []
 
 
 def test_decay_state_passes_the_benchmark_checks(workloads):

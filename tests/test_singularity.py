@@ -25,9 +25,8 @@ def test_track_pole_crossing():
     pot0 = DeltaShellPotential(b=13.0)
     pole0 = find_poles(pot0, 6, 6).by_index(-5)
     traj = track_pole(pot0, pole0, 13.0, 15.0, steps=21)
-    signs = [k.imag > 0 for _, k in traj.samples]
-    assert not signs[0] and signs[-1]  # rises through the axis as b grows
-    for b, k in traj.samples:
+    assert traj.k[0].imag < 0 < traj.k[-1].imag  # rises through the axis as b grows
+    for b, k in zip(traj.b.tolist(), traj.k.tolist()):
         assert abs(pole_equation_residual(k, DeltaShellPotential(b=b))) < 1e-10
 
 
@@ -35,26 +34,29 @@ def test_track_pole_proper_family_stays_off_axis():
     pot0 = DeltaShellPotential(b=13.0)
     pole0 = find_poles(pot0, 2, 2).by_index(1)
     traj = track_pole(pot0, pole0, 13.0, 15.0, steps=21)
-    assert all(k.imag < -0.1 for _, k in traj.samples)
+    assert np.all(traj.k.imag < -0.1)
 
 
 def test_track_pole_degenerate_range():
     pot0 = DeltaShellPotential(b=13.0)
     pole0 = find_poles(pot0, 2, 2).by_index(1)
     traj = track_pole(pot0, pole0, 13.0, 13.0, steps=5)
-    assert len(traj.samples) == 1
-    assert traj.samples[0][1].imag < 0
+    assert traj.b.tolist() == [13.0] and traj.k.shape == (1,)
+    assert traj.k[0].imag < 0
 
 
 def test_track_pole_samples_the_linspace_grid():
-    """`steps` samples at np.linspace(b_from, b_to, steps): both ends exact, b rising."""
+    """`steps` samples at np.linspace(b_from, b_to, steps): both ends exact, b rising,
+    held as read-only float b and complex k arrays of one length.
+    """
     pot0 = DeltaShellPotential(b=13.0)
     for family, b_to, steps in ((-5, 15.0, 21), (-5, 13.7, 8), (2, 14.3, 11)):
         traj = track_pole(pot0, _start_pole(pot0, family), 13.0, b_to, steps)
-        b = [b for b, _ in traj.samples]
-        assert len(b) == steps
-        assert b[0] == 13.0 and b[-1] == b_to
-        assert all(b2 > b1 for b1, b2 in zip(b, b[1:]))
+        assert traj.b.dtype == float and traj.k.dtype == complex
+        assert traj.b.shape == traj.k.shape == (steps,)
+        assert traj.b[0] == 13.0 and traj.b[-1] == b_to
+        assert np.all(np.diff(traj.b) > 0)
+        assert not traj.b.flags.writeable and not traj.k.flags.writeable
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0, 4.0])
@@ -70,7 +72,7 @@ def test_trajectory_samples_are_the_lambert_w_poles(a):
         ref = [referee(b, a, n)[n - 1] for b in np.linspace(b_star / 2, 2 * b_star, 41)]
         pot0 = DeltaShellPotential(b=b_star / 2, a=a)
         traj = track_pole(pot0, Pole(family, complex(ref[0])), b_star / 2, 2 * b_star, 41)
-        np.testing.assert_allclose([k for _, k in traj.samples], ref, rtol=1e-12, atol=0,
+        np.testing.assert_allclose(traj.k, ref, rtol=1e-12, atol=0,
                                    err_msg=f"family {family}, a={a}")
 
 
@@ -90,10 +92,9 @@ def test_track_pole_takes_coarse_steps_along_one_family():
     """
     pot0 = DeltaShellPotential(b=0.05)
     traj = track_pole(pot0, _start_pole(pot0, -1), 0.05, 1000.0, 21)
-    k = np.array([k for _, k in traj.samples])
-    assert np.abs(np.diff(k)).max() > math.pi / 2
-    ref = [lambert_w_improper_poles(b, 1.0, 1)[0] for b, _ in traj.samples]
-    np.testing.assert_allclose(k, ref, rtol=1e-12, atol=0)
+    assert np.abs(np.diff(traj.k)).max() > math.pi / 2
+    ref = [lambert_w_improper_poles(b, 1.0, 1)[0] for b in traj.b]
+    np.testing.assert_allclose(traj.k, ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the NaN seeds
@@ -155,12 +156,35 @@ def test_find_singularity_to_the_last_ulp(a):
             _acceptance_bound(k_star, pot), label
 
 
+@pytest.mark.parametrize("family,b_hi", [(-10, 358.14), (-30, 1200.0)])
+def test_find_singularity_from_small_ab(family, b_hi):
+    """At b = 0.01, a = 0.25 the start pole of family -n lies below find_poles'
+    depth BETA_MARGIN/a (a |Im k| = 5.05 for n = 10); the certificate's
+    rectangles reach below it, and b*, k* come out within 4 ulp of the closed form.
+    """
+    a, n = 0.25, -family
+    pole = _start_pole(DeltaShellPotential(b=0.01, a=a), family)
+    assert pole.k == pytest.approx(lambert_w_improper_poles(0.01, a, n)[n - 1], rel=1e-14)
+    closed = _closed_form(family, a)
+    b_star, k_star = find_singularity(a, family, 0.01, b_hi)
+    assert abs(b_star - closed) <= 4 * math.ulp(closed)
+    assert abs(k_star + closed) <= 4 * math.ulp(closed)
+
+
+def test_crossing_on_a_sample_is_taken_as_is():
+    """A sample with Im k exactly 0, before any sign change, is the crossing."""
+    traj = PoleTrajectory(family=-5, a=1.0, b=[13.0, B_STAR, 15.0],
+                          k=[complex(-14.13, -0.08), complex(-B_STAR, 0.0),
+                             complex(-14.13, 0.05)])
+    assert _locate_crossing(traj) == traj.crossing == (B_STAR, -B_STAR)
+
+
 def test_crossing_newton_rejects_a_crossing_outside_its_bracket():
     """Two samples whose Im k changes sign seed the bordered Newton, which
     converges to b* = 9 pi/2, outside [13, 13.5]: NoCrossingError.
     """
-    traj = PoleTrajectory(family=-5, a=1.0,
-                          samples=[(13.0, complex(-14.13, -0.08)), (13.5, complex(-14.13, 0.01))])
+    traj = PoleTrajectory(family=-5, a=1.0, b=[13.0, 13.5],
+                          k=[complex(-14.13, -0.08), complex(-14.13, 0.01)])
     with pytest.raises(NoCrossingError, match="left the bracket"):
         _locate_crossing(traj)
     assert traj.crossing is None
