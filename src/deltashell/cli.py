@@ -1,8 +1,11 @@
 """Command-line front end: pole tables, survival series, singularity scans,
 and the self-verification suite, as deterministic CSV/JSON files.
 
-Exit codes: 0 success, 2 invalid input, 3 no result (e.g. no axis crossing),
-4 numerical failure.
+The library decides which inputs are valid; the CLI checks only its own
+syntax (times, --b-range) and rules (--q or --kc, --samples >= 2,
+verify --n >= 2, the oracle's smallest time before any solve). Exit codes:
+0 success, 2 invalid input (a ValueError), 3 no result (e.g. no axis
+crossing), 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -31,12 +34,6 @@ EXIT_NUMERICAL = 4
 DEFAULT_B = 4.5 * math.pi
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
 def _write(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -52,35 +49,19 @@ def _parse_time(spec: str) -> tuple:
     try:
         return float(text[:-3] if in_lifetimes else text), in_lifetimes
     except ValueError:
-        raise CliError(f"cannot parse time specification {spec!r}", EXIT_INVALID)
-
-
-def _potential(args) -> DeltaShellPotential:
-    try:
-        return DeltaShellPotential(b=args.b, a=args.a)
-    except ValueError as exc:
-        raise CliError(f"{exc}", EXIT_INVALID)
+        raise ValueError(f"cannot parse time specification {spec!r}")
 
 
 def _initial_state(args, a: float) -> SineInitialState:
     if args.q is not None and args.kc is not None:
-        raise CliError("give either --q or --kc, not both", EXIT_INVALID)
-    if args.q is not None:
-        if args.q < 1:
-            raise CliError("--q must be a positive integer", EXIT_INVALID)
-        return box_state(args.q, a)
+        raise ValueError("give either --q or --kc, not both")
     if args.kc is not None:
-        if args.kc <= 0:
-            raise CliError("--kc must be positive", EXIT_INVALID)
         return SineInitialState.from_wavenumber(args.kc, a)
-    return box_state(1, a)
+    return box_state(1 if args.q is None else args.q, a)
 
 
 def cmd_poles(args) -> int:
-    pot = _potential(args)
-    if args.n < 1:
-        raise CliError("--n must be >= 1", EXIT_INVALID)
-    ps = find_poles(pot, args.n, args.n)
+    ps = find_poles(DeltaShellPotential(b=args.b, a=args.a), args.n, args.n)
     basis = build_basis(ps) if args.states else None
     write = dsio.pole_set_to_json if args.format == "json" else dsio.pole_set_to_csv
     _write(args.out, write(ps, basis))
@@ -88,18 +69,15 @@ def cmd_poles(args) -> int:
 
 
 def cmd_survival(args) -> int:
-    pot = _potential(args)
+    pot = DeltaShellPotential(b=args.b, a=args.a)
     init = _initial_state(args, pot.a)
     if args.samples < 2:
-        raise CliError("--samples must be >= 2", EXIT_INVALID)
-    if args.n < 1:
-        raise CliError("--n must be >= 1", EXIT_INVALID)
+        raise ValueError(f"--samples must be >= 2, got {args.samples}")
     tmax = _parse_time(args.tmax)
     tmin = _parse_time(args.tmin) if args.tmin else None
     t_floor = DEFAULT_QUAD.t_min if args.oracle else 0.0  # the oracle's smallest time
     if tmin is not None and not tmin[1] and tmin[0] < t_floor:  # known before any solve
-        raise CliError(f"--tmin {args.tmin} is below the oracle's minimum time {t_floor}",
-                       EXIT_INVALID)
+        raise ValueError(f"--tmin {args.tmin} is below the oracle's minimum time {t_floor}")
     ctx = build_expansion(pot, init, args.n)
     tau = lifetime(ctx.pole_set)
     t_max = tmax[0] * tau if tmax[1] else tmax[0]
@@ -107,13 +85,8 @@ def cmd_survival(args) -> int:
         t_min = max(t_max / args.samples, t_floor)
     else:
         t_min = tmin[0] * tau if tmin[1] else tmin[0]
-    if not (t_max > t_min > 0 and t_min >= t_floor):
-        raise CliError(f"need tmax > tmin > 0, and tmin >= {DEFAULT_QUAD.t_min} with --oracle",
-                       EXIT_INVALID)
-    if args.spacing == "log":
-        grid = np.geomspace(t_min, t_max, args.samples)
-    else:
-        grid = np.linspace(t_min, t_max, args.samples)
+    spaced = np.geomspace if args.spacing == "log" else np.linspace
+    grid = spaced(t_min, t_max, args.samples)
     series = survival_series(pot, init, grid, args.n, context=ctx)
     oracle_S = None
     if args.oracle:
@@ -130,19 +103,11 @@ def cmd_survival(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.a <= 0:
-        raise CliError("shell radius must be positive", EXIT_INVALID)
     try:
         lo_s, _, hi_s = args.b_range.partition(":")
         b_lo, b_hi = float(lo_s), float(hi_s)
     except ValueError:
-        raise CliError(f"cannot parse --b-range {args.b_range!r}; expected lo:hi",
-                       EXIT_INVALID)
-    if not (b_hi > b_lo > 0):
-        raise CliError(f"need 0 < lo < hi in --b-range, got {args.b_range!r}",
-                       EXIT_INVALID)
-    if args.family == 0:
-        raise CliError("--family must be a nonzero signed index", EXIT_INVALID)
+        raise ValueError(f"cannot parse --b-range {args.b_range!r}; expected lo:hi")
     traj = _trajectory(args.a, args.family, b_lo, b_hi, args.steps)
     if args.trajectory_out:
         _write(args.trajectory_out, dsio.trajectory_to_csv(traj))
@@ -159,10 +124,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pot = _potential(args)
+    pot = DeltaShellPotential(b=args.b, a=args.a)
     init = _initial_state(args, pot.a)
     if args.n < 2:
-        raise CliError("--n must be >= 2", EXIT_INVALID)
+        raise ValueError(f"--n must be >= 2, got {args.n}")
     results = run_verification(pot, init, args.n)
     doc = {"schema_version": dsio.SCHEMA_VERSION,
            "config": {"b": pot.b, "a": pot.a, "k_c": init.k_c, "n": args.n},
@@ -245,9 +210,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (NoCrossingError, NoTransitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT

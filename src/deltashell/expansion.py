@@ -87,6 +87,15 @@ def quad(func, a, b, points=(), epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     return kept_value, kept_error
 
 
+def _check_times(t, floor: float = 0.0):
+    """Raise ValueError unless t (a scalar or an array) is finite, > 0 and >= floor everywhere."""
+    x = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(x) & (x > 0) & (x >= floor))
+    if bad.any():
+        raise ValueError(f"need a finite time t > 0{f' and t >= {floor}' if floor else ''}, "
+                         f"got t={x[bad][0]}")
+
+
 def _scalar_or_array(x):
     """A complex for a 0-d result, the array otherwise."""
     return x if np.ndim(x) else complex(x)
@@ -203,8 +212,7 @@ def tail_coefficient(coeffs: OverlapSet, poles: PoleSet, N: Optional[int] = None
 def survival_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float,
                        N: Optional[int] = None):
     """(A, A_exp, A_tail) at a positive time, or on an array of positive times."""
-    if np.any(np.asarray(t) <= 0):
-        raise ValueError("the expansion represents t > 0 only")
+    _check_times(t)
     N = _pair_count(N, coeffs.n_pairs)
     A_tail = -ETA * tail_coefficient(coeffs, poles, N) * t ** -1.5
     c = coeffs.C[0, :N]
@@ -263,12 +271,17 @@ def build_expansion(pot: DeltaShellPotential, init: SineInitialState,
 def survival_series(pot: DeltaShellPotential, init: SineInitialState,
                     t_grid, N: int = 40,
                     context: Optional[ExpansionContext] = None) -> SurvivalSeries:
-    """S(t) = |A(t)|^2 on a strictly increasing positive grid."""
+    """S(t) = |A(t)|^2 on a strictly increasing positive grid; a context must be pot and init's."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("time grid must be strictly increasing and positive")
+    if t_grid.size == 0 or not np.all(np.diff(t_grid) > 0):
+        raise ValueError(f"time grid must be non-empty and strictly increasing, got "
+                         f"{t_grid.size} times from {t_grid[:1]} to {t_grid[-1:]}")
+    _check_times(t_grid[0])  # before any solve; survival_amplitude checks the whole grid
     if context is None:
         context = build_expansion(pot, init, N)
+    elif context.potential != pot or context.initial_state != init:
+        raise ValueError(f"context was built for {context.potential} and "
+                         f"{context.initial_state}, not for {pot} and {init}")
     tau = lifetime(context.pole_set)
     A, A_exp, A_tail = survival_amplitude(context.overlaps, context.pole_set, t_grid, N)
     return SurvivalSeries(potential=pot, initial_state=init, lifetime=tau,
@@ -277,11 +290,10 @@ def survival_series(pot: DeltaShellPotential, init: SineInitialState,
 
 def wavefunction(context: ExpansionContext, r: float, t: float,
                  N: Optional[int] = None) -> complex:
-    """psi(r, t) for r <= a from the resonant expansion."""
-    if r > context.potential.a:
-        raise ValueError("expansion is valid for r <= a")
-    if t <= 0:
-        raise ValueError("the expansion represents t > 0 only")
+    """psi(r, t) for 0 <= r <= a from the resonant expansion."""
+    if not 0 <= r <= context.potential.a:
+        raise ValueError(f"need 0 <= r <= a={context.potential.a}, got r={r}")
+    _check_times(t)
     coeffs, basis = context.overlaps, context.basis
     N = _pair_count(N, coeffs.n_pairs)
     psi = 0j
@@ -304,6 +316,7 @@ def two_pole_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float) -> complex:
     """
     if coeffs.n_pairs < 5 or poles.n_proper < 5:
         raise ValueError("two-pole approximation needs coefficients for p = 4, 5")
+    _check_times(t)
     c = coeffs.C[0, 3:5]
     return _pole_sum(c * c, poles.k_proper[3:5], t)
 
@@ -324,6 +337,9 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
     the part of the bracket [tau, 200 tau] past that maximum finds the late
     crossing, also when the early one lies in the bracket too.
     """
+    lo, hi = bracket_in_lifetimes
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"need a finite bracket 0 < lo < hi, got {bracket_in_lifetimes}")
     tau = lifetime(poles)
     k1, c1 = complex(poles.k_proper[0]), complex(coeffs.C[0, 0])
     g1 = 4.0 * k1.real * -k1.imag
@@ -335,7 +351,7 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
     def gap(t):
         return (math.log(lhs_amp) - g1 * t / 2) - (math.log(rhs_amp) - 1.5 * math.log(t))
 
-    lo, hi = bracket_in_lifetimes[0] * tau, bracket_in_lifetimes[1] * tau
+    lo, hi = lo * tau, hi * tau
     lo = max(lo, min(3 / g1, hi))
     gap_lo = gap(lo)
     if gap_lo * gap(hi) > 0:

@@ -12,6 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _positive(**values):
+    """Require each named value to be finite and positive; the error names the first one not."""
+    for name, x in values.items():
+        if not 0 < x < math.inf:
+            raise ValueError(f"need a finite positive {name}, got {name}={x}")
+
+
 @dataclass(frozen=True)
 class DeltaShellPotential:
     """Purely absorptive shell V(r) = -i b delta(r - a), b > 0."""
@@ -20,18 +27,12 @@ class DeltaShellPotential:
     a: float = 1.0
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"intensity must be positive, got b={self.b}")
-        if not self.a > 0:
-            raise ValueError(f"shell radius must be positive, got a={self.a}")
+        _positive(b=self.b, a=self.a)
 
 
 def normalization_constant(k_c: float, a: float) -> float:
     """Normalization of sin(k_c r) on [0, a]: sqrt(2/a) / sqrt(1 - sin(2 k_c a)/(2 k_c a))."""
-    if not k_c > 0:
-        raise ValueError(f"k_c must be positive, got {k_c}")
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
+    _positive(k_c=k_c, a=a)
     x = 2.0 * k_c * a
     return math.sqrt(2.0 / a) / math.sqrt(1.0 - math.sin(x) / x)
 
@@ -47,6 +48,9 @@ class SineInitialState:
     k_c: float
     N_c: float
     a: float = 1.0
+
+    def __post_init__(self):
+        _positive(a=self.a, k_c=self.k_c, N_c=self.N_c)
 
     @classmethod
     def from_wavenumber(cls, k_c: float, a: float = 1.0) -> "SineInitialState":
@@ -65,4 +69,5 @@ def box_state(q: int, a: float = 1.0) -> SineInitialState:
     """Infinite-box mode q: k_c = q pi / a with the exact normalization sqrt(2/a)."""
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ValueError(f"box mode number must be a positive integer, got {q}")
+    _positive(a=a)
     return SineInitialState(k_c=q * math.pi / a, N_c=math.sqrt(2.0 / a), a=a)

@@ -26,7 +26,8 @@ from .basis import _state_products, normalization_coefficient
 from .errors import NearPoleError, QuadratureError
 from .model import DeltaShellPotential, SineInitialState
 from .poles import _proper_poles, _readonly
-from .expansion import _overlap_quadrature, _overlaps, _pole_sum, _scalar_or_array, quad
+from .expansion import (_check_times, _overlap_quadrature, _overlaps, _pole_sum,
+                        _scalar_or_array, quad)
 
 GAMMA_ROTATION = cmath.exp(-1j * math.pi / 4)  # sqrt(-i), principal branch
 NEAR_POLE_TOL = 1e-13
@@ -114,8 +115,7 @@ def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
 
     f takes the array of ray points gamma z; z = 0 is a breakpoint and never a node.
     """
-    if t < quad_settings.t_min:
-        raise ValueError(f"t={t} below the supported minimum {quad_settings.t_min}")
+    _check_times(t, quad_settings.t_min)
     Z = math.sqrt(RAY_CUTOFF / t)
     value, estimate = quad(lambda z: z * np.exp(-z * z * t) * f(GAMMA_ROTATION * z),
                            -Z, Z, points=[0.0], epsabs=quad_settings.epsabs,

@@ -83,9 +83,9 @@ def residual_noise_floor(k, b, a):
     return 2.3e-16 * (abs(2 * k) + mag * (2 * abs(k) * a + 2.0))
 
 
-def _acceptance_bound(k, pot: DeltaShellPotential):
-    """Largest |residual| accepted at a root (or an array): ACCEPT_TOL or 8x the noise floor."""
-    return np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, pot.b, pot.a))
+def _acceptance_bound(k, b, a):
+    """Largest |residual| accepted at a root: ACCEPT_TOL or 8x the noise floor; k, b broadcast."""
+    return np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, b, a))
 
 
 def newton_polish(seed: complex, pot: DeltaShellPotential) -> complex:
@@ -117,7 +117,7 @@ def newton_polish(seed: complex, pot: DeltaShellPotential) -> complex:
         if not improved:
             break  # at the floating-point noise floor; accept below if good enough
         k = k_next
-    if abs(pole_equation_residual(k, pot)) < _acceptance_bound(k, pot):
+    if abs(pole_equation_residual(k, pot)) < _acceptance_bound(k, pot.b, pot.a):
         return k
     raise SolverError(f"Newton did not converge from seed {seed}", seed=seed)
 
@@ -154,7 +154,7 @@ def _newton(k, b, a):
             break
         k = np.where(done, k, k - f / (2 - 2j * a * b * e2))
     residual = np.abs(2 * k - b * (np.exp(2j * k * a) - 1))
-    unconverged = ~(residual < np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, b, a)))
+    unconverged = ~(residual < _acceptance_bound(k, b, a))
     if unconverged.any():
         raise SolverError(f"Newton left {unconverged.sum()} of {unconverged.size} roots "
                           f"unconverged, first at position {np.argmax(unconverged)}")
@@ -424,7 +424,8 @@ def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int) -> Pole
     roots are returned in order of |Re k|.
     """
     if n_proper < 1 or n_improper < 1:
-        raise ValueError("need at least one pole per family")
+        raise ValueError(f"need at least one pole per family, got n_proper={n_proper}, "
+                         f"n_improper={n_improper}")
     proper = _proper_poles(pot, n_proper)
     depth = BETA_MARGIN / pot.a
     rect = (-(n_improper + 1) * math.pi / pot.a, 0.0, -depth, depth)

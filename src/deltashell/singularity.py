@@ -89,8 +89,8 @@ def find_singularity(a: float, family: int, b_lo: float, b_hi: float,
 
 def _trajectory(a: float, family: int, b_lo: float, b_hi: float, steps: int) -> PoleTrajectory:
     """The family's pole tracked from b_lo to b_hi, identified by its index at b_lo."""
-    if not (b_hi > b_lo > 0):
-        raise ValueError(f"bad bracket [{b_lo}, {b_hi}]")
+    if not 0 < b_lo < b_hi < math.inf:
+        raise ValueError(f"need a finite bracket 0 < b_lo < b_hi, got [{b_lo}, {b_hi}]")
     pot0 = DeltaShellPotential(b=b_lo, a=a)
     return track_pole(pot0, _start_pole(pot0, family), b_lo, b_hi, steps)
 
@@ -110,7 +110,7 @@ def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
     if family > 0:
         return Pole(family, complex(_proper_poles(pot, family)[-1]))
     if family == 0:
-        raise ValueError("pole index 0 is reserved")
+        raise ValueError("need a nonzero signed pole index, got family=0")
     n = -family
     k0 = newton_polish(complex(_seeds(family, pot.b, pot.a)), pot)
     half = math.pi / (4 * pot.a)
@@ -128,32 +128,43 @@ def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
 
 
 def _locate_crossing(traj: PoleTrajectory) -> tuple:
-    """Solve the trajectory's sign change of Im k for (b*, k*); sets traj.crossing.
+    """Solve the trajectory's first crossing of the real axis for (b*, k*); sets traj.crossing.
 
     At a spectral singularity k = x is real, so F(b, x) = 2x - b(e^{2ixa} - 1)
     = 0 is two real equations in the two real unknowns, with
     F_x = 2 - 2iab e^{2ixa} and F_b = -(e^{2ixa} - 1): a bordered 2x2 real
-    Newton system (Keller 1977; Allgower & Georg 1990), seeded by linear
-    interpolation between the first two samples whose Im k changes sign; a
-    sample before them with Im k exactly 0 is the crossing itself. It stops
-    once a step moves b and x by at most CROSSING_ULPS ulp. Raises
-    NoCrossingError if an iterate leaves the samples' bracket by more than
-    CROSSING_ULPS ulp or the iteration does not converge.
+    Newton system (Keller 1977; Allgower & Georg 1990). It takes the first
+    sample with Im k exactly 0 (the last one included) as the crossing, or
+    the first two samples whose Im k changes sign, if they come before it,
+    as a seed by linear interpolation. With neither, the first sample within
+    rounding noise of the axis, |Im k| |F_x| <= _acceptance_bound (a bracket
+    end at b*, say), is the seed, bracketed by its neighbours. It stops once
+    a step moves b and x by at most CROSSING_ULPS ulp. Raises NoCrossingError
+    if no sample crosses, an iterate leaves the bracket by more than
+    CROSSING_ULPS ulp, or the iteration does not converge.
     """
-    y = traj.k.imag
-    hit = np.flatnonzero((y[:-1] == 0) | (y[:-1] * y[1:] < 0))
+    a, y = traj.a, traj.k.imag
+    hit = np.flatnonzero((y == 0) | np.append(y[:-1] * y[1:] < 0, False))
+    on_axis = hit.size == 0
+    if on_axis:
+        slope = np.abs(2 - 2j * a * traj.b * np.exp(2j * traj.k * a))
+        hit = np.flatnonzero(np.abs(y) * slope <= _acceptance_bound(traj.k, traj.b, a))
     if hit.size == 0:
         raise NoCrossingError(f"family {traj.family}: Im k keeps one sign on "
                               f"[{traj.b[0]}, {traj.b[-1]}]")
     i = hit[0]
-    (b1, b2), (k1, k2) = traj.b[i:i + 2].tolist(), traj.k[i:i + 2].tolist()
+    b1, k1 = float(traj.b[i]), complex(traj.k[i])
     if k1.imag == 0.0:
         traj.crossing = (b1, k1.real)
         return b1, k1.real
-    a = traj.a
-    t = k1.imag / (k1.imag - k2.imag)
-    b, x = b1 + t * (b2 - b1), k1.real + t * (k2.real - k1.real)
-    lo, hi = min(b1, b2), max(b1, b2)
+    if on_axis:
+        b, x = b1, k1.real
+        lo, hi = sorted(traj.b[[max(i - 1, 0), min(i + 1, y.size - 1)]].tolist())
+    else:
+        b2, k2 = float(traj.b[i + 1]), complex(traj.k[i + 1])
+        t = k1.imag / (k1.imag - k2.imag)
+        b, x = b1 + t * (b2 - b1), k1.real + t * (k2.real - k1.real)
+        lo, hi = min(b1, b2), max(b1, b2)
     slack = CROSSING_ULPS * math.ulp(hi)
     for _ in range(CROSSING_MAX_ITER):
         pot = DeltaShellPotential(b=b, a=a)
@@ -173,7 +184,7 @@ def _locate_crossing(traj: PoleTrajectory) -> tuple:
                               f"near b={b}, k={x}")
     pot = DeltaShellPotential(b=b, a=a)
     residual = abs(pole_equation_residual(x, pot))
-    if residual >= _acceptance_bound(x, pot):
+    if residual >= _acceptance_bound(x, b, a):
         raise NoCrossingError(f"family {traj.family}: crossing residual {residual:.2e} "
                               f"above the acceptance bound at b={b}")
     traj.crossing = (b, x)

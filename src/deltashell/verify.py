@@ -49,7 +49,7 @@ def run_verification(pot: DeltaShellPotential, init: SineInitialState | None = N
 
     residual = np.abs(2 * k - pot.b * (np.exp(2j * k * a) - 1))
     results.append(_gate(
-        "pole_equation_residual", np.max(residual / _acceptance_bound(k, pot)), 1.0,
+        "pole_equation_residual", np.max(residual / _acceptance_bound(k, pot.b, pot.a)), 1.0,
         note="worst |residual| / max(1e-12, 8 x noise floor), find_poles' acceptance rule"))
 
     results.append(_gate(

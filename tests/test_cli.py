@@ -243,6 +243,32 @@ def test_scan_malformed_range():
     assert run(["scan", "--family", "-5", "--b-range", "abc"]) == 2
 
 
+# (command, exit code, the text stderr names the bad value or the failure by): the
+# library's checks of the CLI's inputs, the rules the CLI keeps, and exits 3 and 4
+ERROR_PATHS = [
+    (["poles", "--n", "0"], 2, "n_proper=0"),
+    (["survival", "--q", "0"], 2, "got 0"),
+    (["survival", "--kc", "-1"], 2, "k_c=-1.0"),
+    (["survival", "--kc", "inf"], 2, "k_c=inf"),
+    (["poles", "--b", "nan"], 2, "b=nan"),
+    (["scan", "--a", "0", "--family", "-5", "--b-range", "13:15"], 2, "a=0.0"),
+    (["scan", "--family", "0", "--b-range", "13:15"], 2, "family=0"),
+    (["scan", "--family", "-5", "--b-range", "15:13"], 2, "[15.0, 13.0]"),
+    (["survival", "--samples", "1"], 2, "got 1"),
+    (["verify", "--n", "1"], 2, "got 1"),
+    (["scan", "--family", "1", "--b-range", "13:15"], 3, "keeps one sign"),
+    (["verify", "--b", "200"], 4, "sum_rule_inverse_k_trend"),
+]
+
+
+@pytest.mark.parametrize("args,code,named", ERROR_PATHS,
+                         ids=[" ".join(case[0]) for case in ERROR_PATHS])
+def test_error_paths_exit_with_their_code_and_name_the_value(tmp_path, capsys, args, code,
+                                                             named):
+    assert run(args + ["--out", str(tmp_path / "out")]) == code
+    assert named in capsys.readouterr().err
+
+
 def test_verify_default_passes(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert run(["verify", "--n", "40", "--out", str(out)]) == 0

@@ -8,10 +8,10 @@ from scipy.integrate import quad
 from scipy.special import lambertw
 
 from deltashell import (DeltaShellPotential, OverlapSet, SineInitialState, box_state,
-                        build_basis, build_expansion, closure_sum, find_poles,
+                        build_basis, build_expansion, closure_sum, find_poles, find_singularity,
                         green_expansion, lifetime, poles, sum_rule_defect, survival_amplitude,
-                        survival_series, tail_coefficient, transition_time,
-                        two_pole_amplitude, wavefunction)
+                        survival_amplitude_exact, survival_series, tail_coefficient,
+                        transition_time, two_pole_amplitude, wavefunction)
 from deltashell.errors import NoTransitionError
 from deltashell.expansion import ETA, _overlap_quadrature, _overlaps, build_overlaps
 
@@ -169,6 +169,60 @@ def test_wavefunction_basics(ctx_q1):
         wavefunction(ctx_q1, 1.2, 0.7)
     with pytest.raises(ValueError):
         wavefunction(ctx_q1, 0.5, 0.0)
+
+
+NAN, INF = math.nan, math.inf
+# one non-finite or out-of-range input per call, and the text its ValueError names it by
+INVALID_INPUTS = {
+    "potential_a_inf": (lambda ctx: DeltaShellPotential(b=1.0, a=INF), "a=inf"),
+    "potential_b_inf": (lambda ctx: DeltaShellPotential(b=INF), "b=inf"),
+    "state_k_c_nan": (lambda ctx: SineInitialState(k_c=NAN, N_c=1.0), "k_c=nan"),
+    "state_N_c_negative": (lambda ctx: SineInitialState(k_c=1.0, N_c=-1.0), "N_c=-1.0"),
+    "state_from_wavenumber_inf": (lambda ctx: SineInitialState.from_wavenumber(INF), "k_c=inf"),
+    "box_state_a_negative": (lambda ctx: box_state(1, -1.0), "a=-1.0"),
+    "wavefunction_r_negative": (lambda ctx: wavefunction(ctx, -0.5, 1.0), "r=-0.5"),
+    "wavefunction_r_nan": (lambda ctx: wavefunction(ctx, NAN, 1.0), "r=nan"),
+    "wavefunction_t_nan": (lambda ctx: wavefunction(ctx, 0.5, NAN), "t=nan"),
+    "survival_amplitude_t_nan": (
+        lambda ctx: survival_amplitude(ctx.overlaps, ctx.pole_set, NAN), "t=nan"),
+    "survival_series_t_inf": (lambda ctx: survival_series(
+        ctx.potential, ctx.initial_state, [1.0, INF], context=ctx), "t=inf"),
+    "two_pole_amplitude_t_negative": (
+        lambda ctx: two_pole_amplitude(ctx.overlaps, ctx.pole_set, -1.0), "t=-1.0"),
+    "transition_time_bracket_nan": (lambda ctx: transition_time(
+        ctx.overlaps, ctx.pole_set, bracket_in_lifetimes=(NAN, 200)), "(nan, 200)"),
+    "transition_time_bracket_inf": (lambda ctx: transition_time(
+        ctx.overlaps, ctx.pole_set, bracket_in_lifetimes=(1.0, INF)), "(1.0, inf)"),
+    "oracle_t_inf": (lambda ctx: survival_amplitude_exact(
+        ctx.potential, ctx.initial_state, INF), "t=inf"),
+    "oracle_t_nan": (lambda ctx: survival_amplitude_exact(
+        ctx.potential, ctx.initial_state, NAN), "t=nan"),
+    "scan_bracket_inf": (lambda ctx: find_singularity(1.0, -5, 13.0, INF), "[13.0, inf]"),
+}
+
+
+@pytest.mark.parametrize("entry", list(INVALID_INPUTS))
+def test_invalid_input_is_refused_by_name(ctx_q1, entry):
+    """Each call gets a ValueError that names the bad value, where it used to
+    return a number (or NaN), run into a solver, or raise "math domain error".
+    """
+    call, named = INVALID_INPUTS[entry]
+    with pytest.raises(ValueError) as exc:
+        call(ctx_q1)
+    assert named in str(exc.value)
+
+
+def test_survival_series_refuses_a_context_built_for_other_inputs(ctx_q1, pot9):
+    """A context carries the amplitudes and the lifetime of the inputs it was
+    built for, so a series labelled with other inputs is refused.
+    """
+    grid = [1.0, 2.0]
+    with pytest.raises(ValueError, match="context was built for"):
+        survival_series(DeltaShellPotential(b=10.0), ctx_q1.initial_state, grid, context=ctx_q1)
+    with pytest.raises(ValueError, match="context was built for"):
+        survival_series(pot9, box_state(3), grid, context=ctx_q1)
+    same = survival_series(DeltaShellPotential(b=pot9.b), box_state(1), grid, context=ctx_q1)
+    assert same.lifetime == lifetime(ctx_q1.pole_set)
 
 
 # every entry point that truncates the pole sums at N pairs, on a 10-pair context

@@ -265,7 +265,7 @@ def test_oracle_poles_against_referees(b, a):
     with mpmath.workdps(50):
         exact = [abs(2 * z - b * (mpmath.exp(2j * z * a) - 1))
                  for z in (mpmath.mpc(kk.real, kk.imag) for kk in k)]
-    assert np.all(np.array(exact, dtype=float) < _acceptance_bound(k, pot))
+    assert np.all(np.array(exact, dtype=float) < _acceptance_bound(k, pot.b, pot.a))
 
 
 def test_oracle_poles_reject_a_corrupted_certificate(monkeypatch):

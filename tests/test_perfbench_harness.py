@@ -2,9 +2,10 @@
 
 perfbench reads poles, states and overlaps through their object views
 (ps.proper + ps.improper, st.pole.k, st.A, ec.overlaps) and scans through
-find_singularity. Three of its paths run here in-process, from the unedited
-perfbench/workloads.py, so a change to those views, or a scan result, that the
-benchmark cannot read or rejects fails in Tier-1.
+find_singularity, and the oracle through survival_amplitude_exact. Four of its
+paths run here in-process, from the unedited perfbench/workloads.py, so a change
+to those views, a scan result or an oracle amplitude that the benchmark cannot
+read or rejects fails in Tier-1.
 """
 import importlib.util
 import math
@@ -48,3 +49,13 @@ def test_decay_state_passes_the_benchmark_checks(workloads):
     errors, rel = workloads.Decay.check_state(out)
     assert errors == []
     assert rel < workloads.checks.EXPANSION_AMPLITUDE_ABS
+
+
+def test_oracle_op_passes_the_benchmark_checks(workloads):
+    """One cold and two warm oracle calls on one (b, state), from the
+    oracle's smallest time on, then the check the benchmark runs on them,
+    its fixed check points included.
+    """
+    out = workloads.Oracle.op(20.0, ("box", 2), [0.05, 0.3, 1.0])
+    errors, _ = workloads.Oracle(None).check([(None, out, None)])
+    assert errors == []

@@ -228,7 +228,7 @@ def test_verify_pole_check_at_large_intensity():
         for pole in find_poles(pot, 40, 40):
             k = mpmath.mpc(pole.k.real, pole.k.imag)
             exact = abs(2 * k - pot.b * (mpmath.exp(2j * k * pot.a) - 1))
-            assert exact < _acceptance_bound(pole.k, pot), pole
+            assert exact < _acceptance_bound(pole.k, pot.b, pot.a), pole
 
 
 def test_find_poles_validation(pot9):

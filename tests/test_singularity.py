@@ -153,7 +153,7 @@ def test_find_singularity_to_the_last_ulp(a):
         assert abs(k_star + closed) <= 4 * math.ulp(closed), label
         pot = DeltaShellPotential(b=b_star, a=a)
         assert abs(pole_equation_residual(complex(k_star), pot)) < \
-            _acceptance_bound(k_star, pot), label
+            _acceptance_bound(k_star, pot.b, pot.a), label
 
 
 @pytest.mark.parametrize("family,b_hi", [(-10, 358.14), (-30, 1200.0)])
@@ -176,6 +176,26 @@ def test_crossing_on_a_sample_is_taken_as_is():
     traj = PoleTrajectory(family=-5, a=1.0, b=[13.0, B_STAR, 15.0],
                           k=[complex(-14.13, -0.08), complex(-B_STAR, 0.0),
                              complex(-14.13, 0.05)])
+    assert _locate_crossing(traj) == traj.crossing == (B_STAR, -B_STAR)
+
+
+@pytest.mark.parametrize("family,b_lo,b_hi", [(-5, B_STAR - 1.0, B_STAR),
+                                               (-1, 0.5, math.pi / 2)])
+def test_crossing_on_the_last_sample_is_found(family, b_lo, b_hi):
+    """A bracket that ends at b*: the last sample's Im k is rounding noise
+    (-2.8e-17 and -8.3e-17), within the acceptance noise of the pole equation,
+    so that sample seeds the bordered Newton and b*, k* come out within 4 ulp.
+    """
+    closed = _closed_form(family, 1.0)
+    assert abs(b_hi - closed) <= math.ulp(closed)
+    b_star, k_star = find_singularity(1.0, family, b_lo, b_hi)
+    assert abs(b_star - closed) <= 4 * math.ulp(closed)
+    assert abs(k_star + closed) <= 4 * math.ulp(closed)
+
+
+def test_crossing_exactly_on_the_last_sample_is_taken_as_is():
+    traj = PoleTrajectory(family=-5, a=1.0, b=[13.0, B_STAR],
+                          k=[complex(-14.13, -0.08), complex(-B_STAR, 0.0)])
     assert _locate_crossing(traj) == traj.crossing == (B_STAR, -B_STAR)
 
 
