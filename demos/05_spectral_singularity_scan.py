@@ -11,7 +11,7 @@ import pathlib
 import sys
 
 from deltashell import (DeltaShellPotential, find_poles, find_singularity,
-                        jost_function, track_pole)
+                        jost_function, pole_equation_residual, track_pole)
 from deltashell.io import singularity_report_json, trajectory_to_csv
 
 out_dir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "demo_output")
@@ -30,7 +30,8 @@ b_star, k_star = find_singularity(1.0, -5, 13.0, 15.0)
 print(f"\naxis crossing refined to b* = {b_star!r}")
 print(f"                         k* = {k_star!r}")
 print(f"9 pi / 2                    = {4.5 * math.pi!r}")
-F = jost_function(complex(k_star), DeltaShellPotential(b=b_star))
+pot_star = DeltaShellPotential(b=b_star)
+F = jost_function(complex(k_star), pot_star)
 print(f"|Jost(k*)| = {abs(F):.2e}: a real zero of the Jost function")
 print("the proper family never crosses (no singularity there):")
 pole1 = find_poles(pot0, 2, 2).by_index(1)
@@ -40,5 +41,6 @@ print(f"  Im k_1 stays in [{traj1.k.imag.min():.4f}, {traj1.k.imag.max():.4f}]")
 (out_dir / "trajectory_family_m5.csv").write_text(trajectory_to_csv(traj))
 (out_dir / "singularity_report.json").write_text(
     singularity_report_json(-5, 1.0, b_star, k_star,
-                            {"jost": abs(F), "im_k": 0.0}))
+                            {"pole_equation": abs(pole_equation_residual(complex(k_star),
+                                                                         pot_star))}))
 print(f"\nwrote trajectory_family_m5.csv and singularity_report.json in {out_dir}/")

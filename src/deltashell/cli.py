@@ -21,7 +21,7 @@ from .basis import build_basis
 from .errors import DeltaShellError, NoCrossingError, NoTransitionError
 from .expansion import build_expansion, lifetime, survival_series
 from .model import DeltaShellPotential, SineInitialState, box_state
-from .oracle import DEFAULT_QUAD, jost_function, survival_amplitude_exact
+from .oracle import DEFAULT_QUAD, survival_amplitude_exact
 from .poles import find_poles, pole_equation_residual
 from .singularity import _locate_crossing, _trajectory
 from .verify import run_verification
@@ -113,11 +113,7 @@ def cmd_scan(args) -> int:
         _write(args.trajectory_out, dsio.trajectory_to_csv(traj))
     b_star, k_star = _locate_crossing(traj)
     pot_star = DeltaShellPotential(b=b_star, a=args.a)
-    residuals = {
-        "pole_equation": abs(pole_equation_residual(complex(k_star), pot_star)),
-        "jost": abs(jost_function(complex(k_star), pot_star)),
-        "im_k": 0.0,
-    }
+    residuals = {"pole_equation": abs(pole_equation_residual(complex(k_star), pot_star))}
     _write(args.out, dsio.singularity_report_json(args.family, args.a, b_star,
                                                   k_star, residuals))
     return EXIT_OK

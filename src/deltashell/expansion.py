@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .basis import ResonantBasis, _pair_count, build_basis
-from .errors import NoTransitionError
+from .errors import DeltaShellError, NoTransitionError
 from .model import DeltaShellPotential, SineInitialState
-from .poles import PoleSet, _readonly, find_poles
+from .poles import PoleSet, _above_ray, _readonly, find_poles
 
 ETA = 1.0 / cmath.sqrt(4j * math.pi)  # = e^{-i pi/4} / (2 sqrt(pi))
 OVERLAP_FALLBACK_REL = 1e-6
@@ -321,15 +321,26 @@ def two_pole_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float) -> complex:
     return _pole_sum(c * c, poles.k_proper[3:5], t)
 
 
-def lifetime(poles: PoleSet) -> float:
-    """1 / min_p Gamma_p, Gamma_p = 4 alpha_p beta_p, over the proper family (Gamma_1 here)."""
+def _slowest_exponential(poles: PoleSet) -> int:
+    """Index into k_proper of the least Gamma_p = 4 alpha_p beta_p among the proper poles
+    above the rotated ray, the ones that give an exponential (p = 1 unless ab < 0.0319).
+    """
     k = poles.k_proper
-    return 1.0 / float(np.min(4.0 * k.real * -k.imag))
+    gamma = np.where(_above_ray(k), 4.0 * k.real * -k.imag, np.inf)
+    if not np.isfinite(gamma).any():
+        raise DeltaShellError(f"none of the N = {k.size} proper poles lies above the rotated ray")
+    return int(np.argmin(gamma))
+
+
+def lifetime(poles: PoleSet) -> float:
+    """1 / Gamma_p of the slowest proper pole that gives an exponential (_slowest_exponential)."""
+    k = complex(poles.k_proper[_slowest_exponential(poles)])
+    return 1.0 / (4.0 * k.real * -k.imag)
 
 
 def transition_time(coeffs: OverlapSet, poles: PoleSet,
                     bracket_in_lifetimes=(1.0, 200.0)) -> float:
-    """Time where the slowest exponential term equals the power-law term.
+    """Time where the slowest exponential term (lifetime's pole) equals the power-law term.
 
     Solves |C_1 Cbar_1| e^{-G_1 t/2} = |eta D| t^{-3/2} by bisection down to
     1e-12 tau; past this time S(t) follows the t^{-3} law. The log gap of
@@ -340,9 +351,10 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
     lo, hi = bracket_in_lifetimes
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"need a finite bracket 0 < lo < hi, got {bracket_in_lifetimes}")
-    tau = lifetime(poles)
-    k1, c1 = complex(poles.k_proper[0]), complex(coeffs.C[0, 0])
+    p = _slowest_exponential(poles)
+    k1, c1 = complex(poles.k_proper[p]), complex(coeffs.C[0, p])
     g1 = 4.0 * k1.real * -k1.imag
+    tau = 1.0 / g1
     lhs_amp = abs(c1 * c1)
     rhs_amp = abs(ETA * tail_coefficient(coeffs, poles))
     if lhs_amp == 0 or rhs_amp == 0:

@@ -19,7 +19,7 @@ from .expansion import SurvivalSeries
 from .poles import PoleSet
 from .singularity import PoleTrajectory
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 INT_COLUMNS = ("index", "family")
 
 

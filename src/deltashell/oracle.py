@@ -3,7 +3,7 @@
 Closed-form outgoing Green's function and Jost function for the shell, the
 exact propagator as a proper-pole residue sum plus a rotated-ray quadrature
 
-    g(r,r';t) = sum_{p>=1} u_p(r) u_p(r') e^{-i k_p^2 t}
+    g(r,r';t) = sum_{p>=1, arg k_p > -pi/4} u_p(r) u_p(r') e^{-i k_p^2 t}
               + (1/pi) * integral_{-inf}^{inf} G+(r,r'; gamma z) e^{-z^2 t} z dz,
 
 gamma = sqrt(-i) = e^{-i pi/4}, and the exact survival amplitude with the
@@ -11,7 +11,10 @@ spatial integrals done in closed form so only the single z quadrature
 remains. The rotated ray hides the second-quadrant eigenvalue terms of the
 non-self-adjoint Hamiltonian: rotating the spectral hairpin onto the ray
 sweeps those poles with residues exactly cancelling their explicit
-discrete-spectrum contributions, which is why only proper poles appear.
+discrete-spectrum contributions, which is why only proper poles appear. Turning
+the real axis onto the ray crosses only the sector between them, so only the
+proper poles above the ray (poles._above_ray) give residues; the ray integral
+carries the others.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 from .basis import _state_products, normalization_coefficient
 from .errors import NearPoleError, QuadratureError
 from .model import DeltaShellPotential, SineInitialState
-from .poles import _proper_poles, _readonly
+from .poles import _above_ray, _proper_poles, _readonly
 from .expansion import (_check_times, _overlap_quadrature, _overlaps, _pole_sum,
                         _scalar_or_array, quad)
 
@@ -129,8 +132,9 @@ def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
 
 @lru_cache(maxsize=16)
 def _state_arrays(pot: DeltaShellPotential, n: int):
-    """(k_p, A_p) of the first n proper states as read-only arrays (they are cached)."""
+    """(k_p, A_p) of the first n proper states above the ray as read-only arrays (cached)."""
     k = _proper_poles(pot, n)
+    k = _readonly(k[_above_ray(k)])
     return k, _readonly(normalization_coefficient(k, pot))
 
 
@@ -138,9 +142,9 @@ def propagator(r: float, rp: float, t: float, pot: DeltaShellPotential,
                N: int = 40, quad_settings: QuadratureSettings = DEFAULT_QUAD) -> complex:
     """Exact retarded propagator g(r, r'; t) for r, r' <= a.
 
-    N counts the proper-pole residue terms; terms beyond the e^{-Gamma_p t}
-    cutoff contribute nothing, so N = 40 is converged for t of order the
-    lifetime. N = 0 skips the residue sum (free-particle-like potentials).
+    Sums the residues of the first N proper poles above the ray; terms beyond the
+    e^{-Gamma_p t} cutoff contribute nothing, so N = 40 is converged for t of order
+    the lifetime. N = 0 skips the residue sum (free-particle-like potentials).
     """
     if r > pot.a or rp > pot.a:
         raise ValueError("propagator supported inside the interaction region")
@@ -181,7 +185,7 @@ def resolvent_matrix_element(k, pot: DeltaShellPotential, init: SineInitialState
 
 @lru_cache(maxsize=32)
 def _oracle_overlaps(pot: DeltaShellPotential, init: SineInitialState, n: int):
-    """Squared overlaps c_p^2 of the initial state with the first n proper states.
+    """Squared overlaps c_p^2 of the initial state with the states of _state_arrays(pot, n).
 
     The first 60 are computed by quadrature (independent of the expansion
     module's closed form); the deep tail, which only matters for
@@ -197,7 +201,7 @@ def survival_amplitude_exact(pot: DeltaShellPotential, init: SineInitialState, t
                              N: int = 40,
                              quad_settings: QuadratureSettings = DEFAULT_QUAD) -> complex:
     """A(t) = <psi(0)| g(t) |psi(0)> with the double space integral done analytically:
-    the proper-pole residue sum plus the rotated-ray integral.
+    the residue sum over the first N proper poles above the ray plus the ray integral.
     """
     ray = _ray_integral(lambda k: resolvent_matrix_element(k, pot, init), t, quad_settings)
     return _pole_sum(_oracle_overlaps(pot, init, N), _state_arrays(pot, N)[0], t) + ray

@@ -88,6 +88,11 @@ def _acceptance_bound(k, b, a):
     return np.maximum(ACCEPT_TOL, 8 * residual_noise_floor(k, b, a))
 
 
+def _above_ray(k):
+    """arg k > -pi/4: the pole lies above the ray e^{-i pi/4} R+ and gives an exponential."""
+    return k.real > -k.imag
+
+
 def newton_polish(seed: complex, pot: DeltaShellPotential) -> complex:
     """Damped Newton iteration on the pole equation, at most 100 steps."""
     k = seed

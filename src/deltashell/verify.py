@@ -1,9 +1,19 @@
-"""Self-verification suite: structural identities the formalism guarantees.
+"""Self-verification suite: each check compares two separately computed quantities.
 
-Every check here is intensity-independent (valid for any b > 0). Checks that
-need a deep truncation or a narrow-resonance regime report "inconclusive"
-instead of failing when run outside their domain. The pole and state checks
-are array expressions over the basis' (k, A, B) arrays.
+pole_equation_residual      solved roots vs the pole equation, against find_poles'
+                            acceptance bound (the one check restating its construction)
+state_normalization         closed-form A_p vs the normalization integral at k_p
+green_residue_identity      contour residue of the closed-form G+ vs u_p u_p / (2 k_p)
+green_pole_expansion        pole expansion of G+ at k = 2/a vs its closed form
+sum_rule_inverse_k_trend    order -1 sum rule partial sum at N vs at N = 10
+closure_sum                 sum of C_p^2 vs its limit 1 + i psi(a)^2/(2b)
+oracle_expansion_agreement  the expansion's S(t) vs the oracle's
+
+A check outside its domain (truncation, resonance width) reports "inconclusive".
+Some fail in part of b (at a = 1, the sum-rule trend for b >= 156). Identities
+that hold by construction (Jost zeros, state continuity and jump, symmetry and
+boundary values of G+) are pinned by tests/test_basis.py, tests/test_oracle.py
+and tests/test_acceptance.py's criteria 11 and 12 instead.
 """
 from __future__ import annotations
 
@@ -15,8 +25,7 @@ import numpy as np
 from .basis import _state_products, green_expansion, normalization_residual, sum_rule_defect
 from .expansion import build_expansion, closure_sum, lifetime, survival_amplitude
 from .model import DeltaShellPotential, SineInitialState, box_state
-from .oracle import (DEFAULT_QUAD, green_function, jost_function, residue_at_pole,
-                     survival_amplitude_exact)
+from .oracle import DEFAULT_QUAD, green_function, residue_at_pole, survival_amplitude_exact
 from .poles import _acceptance_bound
 
 
@@ -43,7 +52,7 @@ def run_verification(pot: DeltaShellPotential, init: SineInitialState | None = N
     if init is None:
         init = box_state(1, pot.a)
     ctx = build_expansion(pot, init, n)
-    k, A, B = ctx.basis.k, ctx.basis.A, ctx.basis.B  # both families
+    k, A = ctx.basis.k, ctx.basis.A  # both families
     a = pot.a
     results = []
 
@@ -52,41 +61,12 @@ def run_verification(pot: DeltaShellPotential, init: SineInitialState | None = N
         "pole_equation_residual", np.max(residual / _acceptance_bound(k, pot.b, pot.a)), 1.0,
         note="worst |residual| / max(1e-12, 8 x noise floor), find_poles' acceptance rule"))
 
-    results.append(_gate(
-        "jost_zero_equivalence", float(np.max(np.abs(jost_function(k, pot)))), 1e-10))
-
     norm = np.abs(normalization_residual(k, A, pot))
     near_real = np.abs(k.imag) <= 1e-3
     results.append(_gate("state_normalization", norm[~near_real].max(), 1e-10))
     if near_real.any():
         results.append(_gate("state_normalization_near_real", norm[near_real].max(), 1e-8,
                              note="looser tolerance for nearly real poles"))
-
-    cont = np.abs(A * np.sin(k * a) - B * np.exp(1j * k * a)).max()
-    results.append(_gate("state_continuity_at_shell", cont, 1e-12))
-
-    jump = np.abs(1j * k * B * np.exp(1j * k * a) - A * k * np.cos(k * a)
-                  + 1j * pot.b * A * np.sin(k * a)).max()
-    results.append(_gate("derivative_jump_at_shell", jump, 1e-9))
-
-    probes_k = np.array([0.7 + 0.2j, 2.0 + 0j, -1.3 + 0.8j, 3.7 - 0.4j, 0.15 + 0j])
-    rgrid = np.linspace(0.1 * a, 0.9 * a, 5)
-    sym = max(float(np.max(np.abs(green_function(r, rp, probes_k, pot)
-                                  - green_function(rp, r, probes_k, pot))))
-              for r in rgrid for rp in rgrid)
-    results.append(_gate("green_symmetry", sym, 1e-12))
-
-    origin = max(float(np.max(np.abs(green_function(0.0, rp, probes_k, pot))))
-                 for rp in rgrid)
-    results.append(_gate("green_regular_at_origin", origin, 1e-14))
-
-    h = 1e-6 * a
-    kq = probes_k[:3]
-    g0 = green_function(a, 0.5 * a, kq, pot)
-    deriv = (green_function(a + h, 0.5 * a, kq, pot) - g0) / h
-    bc = float(np.max(np.abs(deriv - 1j * kq * g0) / np.maximum(1.0, np.abs(g0))))
-    results.append(_gate("green_outgoing_at_shell", bc, 1e-4,
-                         note="one-sided finite difference, O(h) accurate"))
 
     m = min(5, ctx.basis.n_proper)
     num = residue_at_pole(k[:m], 0.3 * a, 0.6 * a, pot)

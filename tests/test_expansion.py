@@ -7,12 +7,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import lambertw
 
-from deltashell import (DeltaShellPotential, OverlapSet, SineInitialState, box_state,
+from deltashell import (DeltaShellPotential, OverlapSet, PoleSet, SineInitialState, box_state,
                         build_basis, build_expansion, closure_sum, find_poles, find_singularity,
                         green_expansion, lifetime, poles, sum_rule_defect, survival_amplitude,
                         survival_amplitude_exact, survival_series, tail_coefficient,
                         transition_time, two_pole_amplitude, wavefunction)
-from deltashell.errors import NoTransitionError
+from deltashell.errors import DeltaShellError, NoTransitionError
 from deltashell.expansion import ETA, _overlap_quadrature, _overlaps, build_overlaps
 
 from reference_values import REFERENCE_BOX_DOMINANCE, REFERENCE_OVERLAPS_SS
@@ -501,3 +501,15 @@ def test_tail_coefficient_summation_order(ctx_q1):
     k = np.stack((ps.k_proper[:40], ps.k_improper[:40]))
     assert tail_coefficient(ctx_q1.overlaps, ps) == complex(np.sum(C * C / (2 * k ** 3)))
     assert closure_sum(ctx_q1.overlaps, 40) == complex(np.sum(C * C)) / 2
+
+
+def test_lifetime_comes_from_the_slowest_pole_above_the_ray():
+    """At b = 0.02 the first proper pole lies below the rotated ray (arg k_1 = -47.8 deg)
+    and gives no exponential at any time, so tau = 1/Gamma_2, not 1/Gamma_1 = 0.0305.
+    """
+    ps = find_poles(DeltaShellPotential(b=0.02, a=1.0), 5, 5)
+    k = ps.k_proper
+    assert np.angle(k[0]) < -math.pi / 4 < np.angle(k[1])
+    assert lifetime(ps) == 1.0 / (4.0 * k[1].real * -k[1].imag)
+    with pytest.raises(DeltaShellError, match="N = 1 "):
+        lifetime(PoleSet(ps.potential, k[:1], ps.k_improper[:1]))

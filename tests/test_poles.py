@@ -8,7 +8,7 @@ import pytest
 from deltashell import (DeltaShellPotential, Quadrant, count_roots_in_rectangle,
                         find_poles, pole_equation_residual, poles, resonance_parameters)
 from deltashell.errors import BoundaryRootError, CompletenessError
-from deltashell.io import pole_set_to_csv, pole_set_to_json
+from deltashell.io import SCHEMA_VERSION, pole_set_to_csv, pole_set_to_json
 from deltashell.poles import _acceptance_bound, _boundary_winding
 from deltashell.verify import run_verification
 
@@ -238,7 +238,7 @@ def test_find_poles_validation(pot9):
 
 def test_csv_round_trip_bit_exact(ps10, basis40):
     lines = pole_set_to_csv(ps10).splitlines()
-    assert lines[:3] == ["# schema_version = 1", f"# b = {ps10.potential.b!r}",
+    assert lines[:3] == [f"# schema_version = {SCHEMA_VERSION}", f"# b = {ps10.potential.b!r}",
                          f"# a = {ps10.potential.a!r}"]
     assert lines[3] == "index,re_k,im_k,resonance_position,width"
     rows = [line.split(",") for line in lines[4:]]
@@ -256,7 +256,7 @@ def test_csv_round_trip_bit_exact(ps10, basis40):
 
 def test_json_round_trip_bit_exact(ps10):
     doc = json.loads(pole_set_to_json(ps10))
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["potential"] == {"b": ps10.potential.b, "a": ps10.potential.a}
     ordered = ps10.improper + ps10.proper
     assert [e["index"] for e in doc["poles"]] == [p.index for p in ordered]
