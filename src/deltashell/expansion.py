@@ -28,6 +28,7 @@ from .poles import PoleSet, _above_ray, _readonly, find_poles
 
 ETA = 1.0 / cmath.sqrt(4j * math.pi)  # = e^{-i pi/4} / (2 sqrt(pi))
 OVERLAP_FALLBACK_REL = 1e-6
+TRANSITION_BRACKET = (1.0, 200.0)  # transition_time's search bracket, in lifetimes
 
 
 # QUADPACK's 7/15-point Gauss-Kronrod pair on [-1, 1] (Piessens et al. 1983):
@@ -321,39 +322,35 @@ def two_pole_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float) -> complex:
     return _pole_sum(c * c, poles.k_proper[3:5], t)
 
 
-def _slowest_exponential(poles: PoleSet) -> int:
-    """Index into k_proper of the least Gamma_p = 4 alpha_p beta_p among the proper poles
-    above the rotated ray, the ones that give an exponential (p = 1 unless ab < 0.0319).
+def _slowest_exponential(poles: PoleSet) -> tuple[int, float]:
+    """(index into k_proper, Gamma_p) of the least Gamma_p = 4 alpha_p beta_p among the proper
+    poles above the rotated ray, the ones that give an exponential (p = 1 unless ab < 0.0319).
     """
     k = poles.k_proper
     gamma = np.where(_above_ray(k), 4.0 * k.real * -k.imag, np.inf)
     if not np.isfinite(gamma).any():
         raise DeltaShellError(f"none of the N = {k.size} proper poles lies above the rotated ray")
-    return int(np.argmin(gamma))
+    p = int(np.argmin(gamma))
+    return p, float(gamma[p])
 
 
 def lifetime(poles: PoleSet) -> float:
     """1 / Gamma_p of the slowest proper pole that gives an exponential (_slowest_exponential)."""
-    k = complex(poles.k_proper[_slowest_exponential(poles)])
-    return 1.0 / (4.0 * k.real * -k.imag)
+    return 1.0 / _slowest_exponential(poles)[1]
 
 
-def transition_time(coeffs: OverlapSet, poles: PoleSet,
-                    bracket_in_lifetimes=(1.0, 200.0)) -> float:
+def transition_time(coeffs: OverlapSet, poles: PoleSet) -> float:
     """Time where the slowest exponential term (lifetime's pole) equals the power-law term.
 
     Solves |C_1 Cbar_1| e^{-G_1 t/2} = |eta D| t^{-3/2} by bisection down to
     1e-12 tau; past this time S(t) follows the t^{-3} law. The log gap of
     the two sides is concave with its maximum at t = 3/G_1, so bisecting on
-    the part of the bracket [tau, 200 tau] past that maximum finds the late
-    crossing, also when the early one lies in the bracket too.
+    the part of the bracket TRANSITION_BRACKET = [tau, 200 tau] past that
+    maximum finds the late crossing, also when the early one lies in the
+    bracket too.
     """
-    lo, hi = bracket_in_lifetimes
-    if not 0 < lo < hi < math.inf:
-        raise ValueError(f"need a finite bracket 0 < lo < hi, got {bracket_in_lifetimes}")
-    p = _slowest_exponential(poles)
-    k1, c1 = complex(poles.k_proper[p]), complex(coeffs.C[0, p])
-    g1 = 4.0 * k1.real * -k1.imag
+    p, g1 = _slowest_exponential(poles)
+    c1 = complex(coeffs.C[0, p])
     tau = 1.0 / g1
     lhs_amp = abs(c1 * c1)
     rhs_amp = abs(ETA * tail_coefficient(coeffs, poles))
@@ -363,13 +360,12 @@ def transition_time(coeffs: OverlapSet, poles: PoleSet,
     def gap(t):
         return (math.log(lhs_amp) - g1 * t / 2) - (math.log(rhs_amp) - 1.5 * math.log(t))
 
-    lo, hi = lo * tau, hi * tau
+    lo, hi = TRANSITION_BRACKET[0] * tau, TRANSITION_BRACKET[1] * tau
     lo = max(lo, min(3 / g1, hi))
     gap_lo = gap(lo)
     if gap_lo * gap(hi) > 0:
         raise NoTransitionError(
-            f"no exponential/power-law crossing in [{bracket_in_lifetimes[0]}, "
-            f"{bracket_in_lifetimes[1]}] lifetimes")
+            f"no exponential/power-law crossing in {list(TRANSITION_BRACKET)} lifetimes")
     while hi - lo > 1e-12 * tau:
         mid = 0.5 * (lo + hi)
         if gap_lo * gap(mid) > 0:

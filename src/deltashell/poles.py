@@ -1,8 +1,10 @@
 """Locate and classify the complex-k poles of the outgoing Green's function.
 
-The poles are the roots of 2k - b (exp(2ika) - 1) = 0 away from the removable
-zero at k = 0. _seeds holds both families' asymptotes; _newton is the one
-array Newton that polishes them, here and in singularity.py's trajectories.
+The poles are the roots of f(k) = 2k - b (exp(2ika) - 1) = 0 away from the
+removable zero at k = 0. _pole_equation is the one evaluation of f and f' in
+the package, for scalars and arrays alike. _seeds holds both families'
+asymptotes; _newton is the one array Newton that polishes them, here and in
+singularity.py's trajectories.
 The proper (fourth-quadrant) family is seeded, polished and certified by one
 winding-number count (argument principle). The improper family is located by
 bisecting rectangles until each isolates a single root, certified by winding
@@ -12,7 +14,6 @@ views, built once per set.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,11 +30,10 @@ DUPLICATE_TOL = 1e-8
 REAL_AXIS_TOL = 1e-9
 JITTER = 1e-6
 BETA_MARGIN = 5.0  # search depth below the real axis, in units of 1/a
-MAX_JITTER_RETRIES = 8
 WINDING_MAX_DEPTH = 48  # halvings of a boundary segment before its phase step is taken as is
 MIN_RECT_SIZE = 1e-10   # smallest rectangle side the improper bisection splits
 # deterministic jitter directions, scaled by JITTER * rectangle diagonal
-_JITTER_SEQ = [1 + 1j, -1 + 2j, 2 - 1j, -2 - 2j, 1 - 3j, -3 + 1j, 3 + 2j, -1 - 1j]
+_JITTER_SEQ = (1 + 1j, -1 + 2j, 2 - 1j, -2 - 2j, 1 - 3j, -3 + 1j, 3 + 2j, -1 - 1j)
 
 
 class Quadrant(Enum):
@@ -43,19 +43,27 @@ class Quadrant(Enum):
     REAL_AXIS = "real_axis"
 
 
+def _pole_equation(k, b, a):
+    """(f(k), f'(k)) = (2k - b (exp(2ika) - 1), 2 - 2iab exp(2ika)); k a scalar or an
+    array, b broadcasts against it. Overflow gives inf or nan, as numpy does, not an error.
+    """
+    e2 = np.exp(2j * k * a)
+    return 2 * k - b * (e2 - 1), 2 - 2j * a * b * e2
+
+
 def pole_equation_residual(k: complex, pot: DeltaShellPotential) -> complex:
-    """2k - b (exp(2ika) - 1); zero exactly at the poles (k = 0 excluded)."""
+    """f(k) = 2k - b (exp(2ika) - 1); zero exactly at the poles (k = 0 excluded)."""
     if k == 0:
         raise ValueError("k = 0 is a removable zero of the pole equation, not a pole")
-    return 2 * k - pot.b * (cmath.exp(2j * k * pot.a) - 1)
+    return complex(_pole_equation(k, pot.b, pot.a)[0])
 
 
 def pole_equation_derivative(k: complex, pot: DeltaShellPotential) -> complex:
-    return 2 - 2j * pot.a * pot.b * cmath.exp(2j * k * pot.a)
+    return complex(_pole_equation(k, pot.b, pot.a)[1])
 
 
 def _reduced_residual(k, pot: DeltaShellPotential):
-    """residual(k)/k at a scalar k (a 0-d array) or an array, continued through k = 0.
+    """f(k)/k at a scalar k (a 0-d array) or an array, continued through k = 0.
 
     Dividing out the spurious root at the origin lets rectangle boundaries
     pass through or near k = 0; the value there is 2(1 - i b a) != 0.
@@ -63,12 +71,12 @@ def _reduced_residual(k, pot: DeltaShellPotential):
     b, a = pot.b, pot.a
     k = np.asarray(k, dtype=complex)
     if np.abs(k).min() * a >= 1e-8:
-        return (2 * k - b * (np.exp(2j * k * a) - 1)) / k
+        return _pole_equation(k, b, a)[0] / k
     small = np.abs(k) * a < 1e-8
     x = 2j * a
     kk = np.where(small, 1.0, k)
     return np.where(small, 2 - b * (x + x * x * k / 2 + x * x * x * k * k / 6),
-                    (2 * kk - b * (np.exp(2j * kk * a) - 1)) / kk)
+                    _pole_equation(kk, b, a)[0] / kk)
 
 
 def residual_noise_floor(k, b, a):
@@ -94,36 +102,30 @@ def _above_ray(k):
 
 
 def newton_polish(seed: complex, pot: DeltaShellPotential) -> complex:
-    """Damped Newton iteration on the pole equation, at most 100 steps."""
+    """Damped Newton iteration on the pole equation, at most 100 steps.
+
+    The iterates stay Python complex, stepped by CPython's complex division.
+    A trial step whose residual overflows is one that does not lower |f|.
+    """
+    b, a = pot.b, pot.a
     k = seed
-    for _ in range(100):
-        try:
-            f = pole_equation_residual(k, pot)
-        except OverflowError:
-            raise SolverError(f"residual overflow at {k}", seed=seed) from None
-        if abs(f) < max(NEWTON_TOL, 4 * residual_noise_floor(k, pot.b, pot.a)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            f, fp = _pole_equation(k, b, a)
+            if abs(f) < max(NEWTON_TOL, 4 * residual_noise_floor(k, b, a)):
+                return k
+            step = complex(f) / complex(fp)
+            lam = 1.0
+            for _ in range(60):
+                k_next = k - lam * step
+                if abs(_pole_equation(k_next, b, a)[0]) < abs(f):
+                    break
+                lam /= 2
+            else:
+                break  # at the floating-point noise floor; accept below if good enough
+            k = k_next
+        if abs(_pole_equation(k, b, a)[0]) < _acceptance_bound(k, b, a):
             return k
-        fp = pole_equation_derivative(k, pot)
-        if fp == 0:
-            raise SolverError("vanishing derivative during Newton iteration", seed=seed)
-        step = f / fp
-        lam = 1.0
-        improved = False
-        for _ in range(60):
-            k_next = k - lam * step
-            try:
-                trial = abs(pole_equation_residual(k_next, pot))
-            except OverflowError:
-                trial = math.inf
-            if trial < abs(f):
-                improved = True
-                break
-            lam /= 2
-        if not improved:
-            break  # at the floating-point noise floor; accept below if good enough
-        k = k_next
-    if abs(pole_equation_residual(k, pot)) < _acceptance_bound(k, pot.b, pot.a):
-        return k
     raise SolverError(f"Newton did not converge from seed {seed}", seed=seed)
 
 
@@ -152,13 +154,12 @@ def _newton(k, b, a):
     SolverError.
     """
     for _ in range(60):
-        e2 = np.exp(2j * k * a)
-        f = 2 * k - b * (e2 - 1)
+        f, fp = _pole_equation(k, b, a)
         done = np.abs(f) < np.maximum(NEWTON_TOL, 4 * residual_noise_floor(k, b, a))
         if done.all():
             break
-        k = np.where(done, k, k - f / (2 - 2j * a * b * e2))
-    residual = np.abs(2 * k - b * (np.exp(2j * k * a) - 1))
+        k = np.where(done, k, k - f / fp)
+    residual = np.abs(_pole_equation(k, b, a)[0])
     unconverged = ~(residual < _acceptance_bound(k, b, a))
     if unconverged.any():
         raise SolverError(f"Newton left {unconverged.sum()} of {unconverged.size} roots "
@@ -225,14 +226,10 @@ def count_roots_in_rectangle(rect, pot: DeltaShellPotential) -> int:
         raise ValueError(f"degenerate rectangle {rect}")
     diag = math.hypot(x1 - x0, y1 - y0)
     last_error = None
-    for attempt in range(MAX_JITTER_RETRIES + 1):
-        if attempt == 0:
-            dx = dy = 0.0
-        else:
-            j = _JITTER_SEQ[(attempt - 1) % len(_JITTER_SEQ)] * JITTER * diag
-            dx, dy = j.real, j.imag
+    for j in (0,) + _JITTER_SEQ:
+        d = j * JITTER * diag
         try:
-            return _boundary_winding(x0 + dx, x1 + dx, y0 + dy, y1 + dy, pot)
+            return _boundary_winding(x0 + d.real, x1 + d.real, y0 + d.imag, y1 + d.imag, pot)
         except BoundaryRootError as exc:
             last_error = exc
     raise BoundaryRootError(
@@ -382,11 +379,9 @@ def _subdivide_roots(rect, pot, expected):
 
 
 def _dedupe(roots):
-    out = []
-    for k in sorted(roots, key=lambda z: (z.real, z.imag)):
-        if not any(abs(k - q) < DUPLICATE_TOL for q in out):
-            out.append(k)
-    return out
+    """roots in order of (Re k, Im k), each within DUPLICATE_TOL of its predecessor dropped."""
+    k = np.sort_complex(np.asarray(roots, dtype=complex))
+    return k[np.abs(np.diff(k, prepend=math.inf)) >= DUPLICATE_TOL]
 
 
 @lru_cache(maxsize=16)
@@ -442,5 +437,4 @@ def find_poles(pot: DeltaShellPotential, n_proper: int, n_improper: int) -> Pole
     if len(roots) < n_improper:
         raise CompletenessError(f"improper region [{rect[0]:.6g}, 0] x [-{depth:.6g}, "
                                 f"{depth:.6g}] held {len(roots)} of {n_improper} poles")
-    improper = sorted(roots, key=lambda z: -z.real)[:n_improper]
-    return PoleSet(potential=pot, k_proper=proper, k_improper=improper)
+    return PoleSet(potential=pot, k_proper=proper, k_improper=roots[::-1][:n_improper])

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import CompletenessError, NoCrossingError, SolverError, TrajectoryLostError
 from .model import DeltaShellPotential
-from .poles import (BETA_MARGIN, Pole, _acceptance_bound, _newton, _proper_poles, _readonly,
-                    _seeds, count_roots_in_rectangle, newton_polish, pole_equation_derivative,
-                    pole_equation_residual)
+from .poles import (BETA_MARGIN, Pole, _acceptance_bound, _newton, _pole_equation,
+                    _proper_poles, _readonly, _seeds, count_roots_in_rectangle, newton_polish)
 
 CROSSING_MAX_ITER = 50
 CROSSING_ULPS = 4  # convergence and bracket slack of the crossing, in ulp of b
@@ -30,14 +28,13 @@ CROSSING_ULPS = 4  # convergence and bracket slack of the crossing, in ulp of b
 @dataclass(eq=False)
 class PoleTrajectory:
     """One pole family's positions k (complex) at the monotone intensities b (float), as
-    read-only 1-D arrays of one length, plus any axis crossing (b_star, k_star).
+    read-only 1-D arrays of one length.
     """
 
     family: int
     a: float
     b: np.ndarray
     k: np.ndarray
-    crossing: Optional[tuple] = None
 
     def __post_init__(self):
         self.b, self.k = _readonly(self.b, float), _readonly(self.k)
@@ -128,26 +125,26 @@ def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
 
 
 def _locate_crossing(traj: PoleTrajectory) -> tuple:
-    """Solve the trajectory's first crossing of the real axis for (b*, k*); sets traj.crossing.
+    """Solve the trajectory's first crossing of the real axis for (b*, k*).
 
-    At a spectral singularity k = x is real, so F(b, x) = 2x - b(e^{2ixa} - 1)
-    = 0 is two real equations in the two real unknowns, with
-    F_x = 2 - 2iab e^{2ixa} and F_b = -(e^{2ixa} - 1): a bordered 2x2 real
-    Newton system (Keller 1977; Allgower & Georg 1990). It takes the first
-    sample with Im k exactly 0 (the last one included) as the crossing, or
-    the first two samples whose Im k changes sign, if they come before it,
-    as a seed by linear interpolation. With neither, the first sample within
-    rounding noise of the axis, |Im k| |F_x| <= _acceptance_bound (a bracket
-    end at b*, say), is the seed, bracketed by its neighbours. It stops once
-    a step moves b and x by at most CROSSING_ULPS ulp. Raises NoCrossingError
-    if no sample crosses, an iterate leaves the bracket by more than
-    CROSSING_ULPS ulp, or the iteration does not converge.
+    At a spectral singularity k = x is real, so F(b, x) = f(x) = 0, the pole
+    equation at intensity b (_pole_equation), is two real equations in the two
+    real unknowns, with F_x = f'(x) and F_b = -(e^{2ixa} - 1) = (f - 2x)/b: a
+    bordered 2x2 real Newton system (Keller 1977; Allgower & Georg 1990). It
+    takes the first sample with Im k exactly 0 (the last one included) as the
+    crossing, or the first two samples whose Im k changes sign, if they come
+    before it, as a seed by linear interpolation. With neither, the first
+    sample within rounding noise of the axis, |Im k| |F_x| <= _acceptance_bound
+    (a bracket end at b*, say), is the seed, bracketed by its neighbours. It
+    stops once a step moves b and x by at most CROSSING_ULPS ulp. Raises
+    NoCrossingError if no sample crosses, an iterate leaves the bracket by
+    more than CROSSING_ULPS ulp, or the iteration does not converge.
     """
     a, y = traj.a, traj.k.imag
     hit = np.flatnonzero((y == 0) | np.append(y[:-1] * y[1:] < 0, False))
     on_axis = hit.size == 0
     if on_axis:
-        slope = np.abs(2 - 2j * a * traj.b * np.exp(2j * traj.k * a))
+        slope = np.abs(_pole_equation(traj.k, traj.b, a)[1])
         hit = np.flatnonzero(np.abs(y) * slope <= _acceptance_bound(traj.k, traj.b, a))
     if hit.size == 0:
         raise NoCrossingError(f"family {traj.family}: Im k keeps one sign on "
@@ -155,7 +152,6 @@ def _locate_crossing(traj: PoleTrajectory) -> tuple:
     i = hit[0]
     b1, k1 = float(traj.b[i]), complex(traj.k[i])
     if k1.imag == 0.0:
-        traj.crossing = (b1, k1.real)
         return b1, k1.real
     if on_axis:
         b, x = b1, k1.real
@@ -167,8 +163,7 @@ def _locate_crossing(traj: PoleTrajectory) -> tuple:
         lo, hi = min(b1, b2), max(b1, b2)
     slack = CROSSING_ULPS * math.ulp(hi)
     for _ in range(CROSSING_MAX_ITER):
-        pot = DeltaShellPotential(b=b, a=a)
-        f, f_x = pole_equation_residual(x, pot), pole_equation_derivative(x, pot)
+        f, f_x = map(complex, _pole_equation(x, b, a))
         f_b = (f - 2 * x) / b  # -(e^{2ixa} - 1)
         det = f_b.real * f_x.imag - f_x.real * f_b.imag
         db = (f_x.real * f.imag - f.real * f_x.imag) / det
@@ -182,10 +177,8 @@ def _locate_crossing(traj: PoleTrajectory) -> tuple:
     else:
         raise NoCrossingError(f"family {traj.family}: crossing Newton did not converge "
                               f"near b={b}, k={x}")
-    pot = DeltaShellPotential(b=b, a=a)
-    residual = abs(pole_equation_residual(x, pot))
+    residual = abs(_pole_equation(x, b, a)[0])
     if residual >= _acceptance_bound(x, b, a):
         raise NoCrossingError(f"family {traj.family}: crossing residual {residual:.2e} "
                               f"above the acceptance bound at b={b}")
-    traj.crossing = (b, x)
     return b, x

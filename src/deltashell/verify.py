@@ -26,7 +26,7 @@ from .basis import _state_products, green_expansion, normalization_residual, sum
 from .expansion import build_expansion, closure_sum, lifetime, survival_amplitude
 from .model import DeltaShellPotential, SineInitialState, box_state
 from .oracle import DEFAULT_QUAD, green_function, residue_at_pole, survival_amplitude_exact
-from .poles import _acceptance_bound
+from .poles import _acceptance_bound, _pole_equation
 
 
 @dataclass
@@ -56,7 +56,7 @@ def run_verification(pot: DeltaShellPotential, init: SineInitialState | None = N
     a = pot.a
     results = []
 
-    residual = np.abs(2 * k - pot.b * (np.exp(2j * k * a) - 1))
+    residual = np.abs(_pole_equation(k, pot.b, a)[0])
     results.append(_gate(
         "pole_equation_residual", np.max(residual / _acceptance_bound(k, pot.b, pot.a)), 1.0,
         note="worst |residual| / max(1e-12, 8 x noise floor), find_poles' acceptance rule"))

@@ -9,7 +9,8 @@ from deltashell import (DeltaShellPotential, Quadrant, count_roots_in_rectangle,
                         find_poles, pole_equation_residual, poles, resonance_parameters)
 from deltashell.errors import BoundaryRootError, CompletenessError
 from deltashell.io import SCHEMA_VERSION, pole_set_to_csv, pole_set_to_json
-from deltashell.poles import _acceptance_bound, _boundary_winding
+from deltashell.poles import (_acceptance_bound, _boundary_winding, _pole_equation,
+                              residual_noise_floor)
 from deltashell.verify import run_verification
 
 from reference_values import (REFERENCE_POLES, boundary_winding, lambert_w_improper_poles,
@@ -30,6 +31,32 @@ def test_residual_nonzero_off_roots(pot9):
 def test_residual_rejects_origin(pot9):
     with pytest.raises(ValueError):
         pole_equation_residual(0.0, pot9)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("b", [0.3, 4.5 * math.pi, 300.0], ids=["b0.3", "b4.5pi", "b300"])
+def test_pole_equation_kernel_within_its_noise_floor(b, a):
+    """f and f' from _pole_equation against 50-digit mpmath at the same double k:
+    |df| <= residual_noise_floor and |df'| <= 2a x floor (f' carries b e^{2ika}
+    times 2a), at both families' 200 roots, at points off the roots and near k = 0.
+    """
+    ps = find_poles(DeltaShellPotential(b=b, a=a), 200, 200)
+    rng = np.random.default_rng(7)
+    span = 201 * math.pi / a
+    off = rng.uniform(-span, span, 100) + 1j * rng.uniform(-5 / a, 5 / a, 100)
+    near_zero = np.array([1e-12, 1e-9 - 1e-9j, -3e-7 + 1e-7j, 1e-4j, 0.01 - 0.02j]) / a
+    k = np.concatenate((ps.k_proper, ps.k_improper, off, near_zero))
+    f, fp = _pole_equation(k, b, a)
+    with mpmath.workdps(50):
+        mb, ma = mpmath.mpf(b), mpmath.mpf(a)
+        exact = []
+        for z in (mpmath.mpc(kk.real, kk.imag) for kk in k):
+            e2 = mpmath.exp(2j * z * ma)
+            exact.append((complex(2 * z - mb * (e2 - 1)), complex(2 - 2j * ma * mb * e2)))
+    f_exact, fp_exact = np.array(exact).T
+    floor = residual_noise_floor(k, b, a)
+    assert np.max(np.abs(f - f_exact) / floor) <= 1.0
+    assert np.max(np.abs(fp - fp_exact) / (2 * a * floor)) <= 1.0
 
 
 def test_root_counts(pot9):

@@ -176,7 +176,7 @@ def test_crossing_on_a_sample_is_taken_as_is():
     traj = PoleTrajectory(family=-5, a=1.0, b=[13.0, B_STAR, 15.0],
                           k=[complex(-14.13, -0.08), complex(-B_STAR, 0.0),
                              complex(-14.13, 0.05)])
-    assert _locate_crossing(traj) == traj.crossing == (B_STAR, -B_STAR)
+    assert _locate_crossing(traj) == (B_STAR, -B_STAR)
 
 
 @pytest.mark.parametrize("family,b_lo,b_hi", [(-5, B_STAR - 1.0, B_STAR),
@@ -196,7 +196,7 @@ def test_crossing_on_the_last_sample_is_found(family, b_lo, b_hi):
 def test_crossing_exactly_on_the_last_sample_is_taken_as_is():
     traj = PoleTrajectory(family=-5, a=1.0, b=[13.0, B_STAR],
                           k=[complex(-14.13, -0.08), complex(-B_STAR, 0.0)])
-    assert _locate_crossing(traj) == traj.crossing == (B_STAR, -B_STAR)
+    assert _locate_crossing(traj) == (B_STAR, -B_STAR)
 
 
 def test_crossing_newton_rejects_a_crossing_outside_its_bracket():
@@ -207,7 +207,6 @@ def test_crossing_newton_rejects_a_crossing_outside_its_bracket():
                           k=[complex(-14.13, -0.08), complex(-14.13, 0.01)])
     with pytest.raises(NoCrossingError, match="left the bracket"):
         _locate_crossing(traj)
-    assert traj.crossing is None
 
 
 def test_improper_seed_polishes_to_the_lambert_w_pole():
