@@ -27,9 +27,11 @@ for b, k in zip(traj.b[::4], traj.k[::4]):
     print(f"  b = {b:7.4f}:  k = {k.real:10.6f} {k.imag:+10.6f}i")
 
 b_star, k_star = find_singularity(1.0, -5, 13.0, 15.0)
-print(f"\naxis crossing refined to b* = {b_star!r}")
-print(f"                         k* = {k_star!r}")
-print(f"9 pi / 2                    = {4.5 * math.pi!r}")
+print(f"\ncrossing in [13, 15] (closed form) b* = {b_star!r}")
+print(f"                                   k* = {k_star!r}")
+print(f"9 pi / 2                              = {4.5 * math.pi!r}")
+up = int((traj.k.imag > 0).argmax())  # the first sample above the axis
+print(f"the traced Im k changes sign between b = {traj.b[up - 1]:.1f} and {traj.b[up]:.1f}")
 pot_star = DeltaShellPotential(b=b_star)
 F = jost_function(complex(k_star), pot_star)
 print(f"|Jost(k*)| = {abs(F):.2e}: a real zero of the Jost function")

@@ -23,7 +23,7 @@ from .expansion import build_expansion, lifetime, survival_series
 from .model import DeltaShellPotential, SineInitialState, box_state
 from .oracle import DEFAULT_QUAD, survival_amplitude_exact
 from .poles import find_poles, pole_equation_residual
-from .singularity import _locate_crossing, _trajectory
+from .singularity import _trajectory, find_singularity
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -108,10 +108,10 @@ def cmd_scan(args) -> int:
         b_lo, b_hi = float(lo_s), float(hi_s)
     except ValueError:
         raise ValueError(f"cannot parse --b-range {args.b_range!r}; expected lo:hi")
-    traj = _trajectory(args.a, args.family, b_lo, b_hi, args.steps)
     if args.trajectory_out:
+        traj = _trajectory(args.a, args.family, b_lo, b_hi, args.steps)
         _write(args.trajectory_out, dsio.trajectory_to_csv(traj))
-    b_star, k_star = _locate_crossing(traj)
+    b_star, k_star = find_singularity(args.a, args.family, b_lo, b_hi)
     pot_star = DeltaShellPotential(b=b_star, a=args.a)
     residuals = {"pole_equation": abs(pole_equation_residual(complex(k_star), pot_star))}
     _write(args.out, dsio.singularity_report_json(args.family, args.a, b_star,
@@ -181,11 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "here is deterministic")
     p.set_defaults(func=cmd_survival)
 
-    p = sub.add_parser("scan", help="track a pole family in b and locate the axis crossing")
+    p = sub.add_parser("scan", help="locate a pole family's axis crossing (b*, k*)")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--family", type=int, required=True, help="signed pole index")
     p.add_argument("--b-range", required=True, help="intensity bracket lo:hi")
-    p.add_argument("--steps", type=int, default=21)
+    p.add_argument("--steps", type=int, default=21,
+                   help="samples of the --trajectory-out trajectory")
     p.add_argument("--out", default=None)
     p.add_argument("--trajectory-out", default=None,
                    help="also write the tracked trajectory CSV here")

@@ -38,7 +38,7 @@ class QuadratureError(DeltaShellError):
 
 
 class NoCrossingError(DeltaShellError):
-    """Pole trajectory does not cross the real axis inside the bracket."""
+    """The pole family does not meet the real axis inside the intensity bracket."""
 
 
 class TrajectoryLostError(DeltaShellError):

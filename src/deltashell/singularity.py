@@ -1,13 +1,13 @@
-"""Spectral-singularity location by tracing a pole family in the intensity b.
+"""Spectral singularities: their closed form, and a pole family traced in the intensity b.
 
 A spectral singularity is an intensity b* at which an improper pole reaches
 the real k axis, making the continuum solution there singular (a real zero of
-the Jost function). A scan solves no pole table: it starts from the one pole
-it follows, certified at the bottom of the bracket by two winding counts,
-solves that family at every sample of the b grid by one array Newton from the
-family's asymptote (poles._seeds, poles._newton), keeps the grid and the roots
-as the trajectory's arrays b and k, and solves for the crossing (b*, k*) by a
-bordered Newton iteration, to the last ulp.
+the Jost function). find_singularity returns it from its closed form and
+solves nothing. A trajectory, the picture of the approach and the closed
+form's referee, starts from the one pole it follows, certified at the bottom
+of the bracket by two winding counts, solves that family at every sample of
+the b grid by one array Newton from the family's asymptote (poles._seeds,
+poles._newton), and keeps the grid and the roots as its arrays b and k.
 """
 from __future__ import annotations
 
@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletenessError, NoCrossingError, SolverError, TrajectoryLostError
-from .model import DeltaShellPotential
-from .poles import (BETA_MARGIN, Pole, _acceptance_bound, _newton, _pole_equation,
-                    _proper_poles, _readonly, _seeds, count_roots_in_rectangle, newton_polish)
+from .model import DeltaShellPotential, _positive
+from .poles import (BETA_MARGIN, Pole, _newton, _proper_poles, _readonly, _seeds,
+                    count_roots_in_rectangle, newton_polish)
 
-CROSSING_MAX_ITER = 50
-CROSSING_ULPS = 4  # convergence and bracket slack of the crossing, in ulp of b
+_PI_E40 = 31415926535897932384626433832795028841972  # pi * 10**40, rounded
 
 
 @dataclass(eq=False)
@@ -71,23 +70,43 @@ def track_pole(pot0: DeltaShellPotential, pole0: Pole, b_from: float, b_to: floa
     return PoleTrajectory(family=family, a=a, b=b, k=k)
 
 
-def find_singularity(a: float, family: int, b_lo: float, b_hi: float,
-                     steps: int = 21) -> tuple:
-    """(b*, k*) where the tracked family's pole meets the real axis.
+def find_singularity(a: float, family: int, b_lo: float, b_hi: float) -> tuple:
+    """(b*, k*) where the family's pole meets the real axis, from the closed form.
 
-    The family is identified by its signed index at b = b_lo (_start_pole),
-    tracked to b_hi by track_pole, and the crossing is solved by a bordered
-    Newton iteration (_locate_crossing). Raises NoCrossingError when the
-    trajectory keeps a single sign of Im k across the bracket, and
-    CompletenessError when the start pole's index cannot be certified.
+    A real root x != 0 of 2x = b(e^{2ixa} - 1) needs sin 2xa = 0 and cos 2xa =
+    -1, so x = -b = -(2m - 1) pi/(2a): every crossing lies on the negative real
+    axis, where no proper pole lies. There -(1 + 2k/b) = 1, so family -n's seed
+    map k = -n pi/a - (i/2a)(log(-(1 + 2k/b)) + i pi) (poles._seeds) fixes k*
+    exactly when m = n. b* = (2n - 1) pi/(2a) is a ratio of integers (pi to 40
+    digits over a's exact ratio), which int division rounds correctly. Raises
+    NoCrossingError for a proper family or a b* outside [b_lo, b_hi]; the
+    tests referee the expression with the traced trajectory (_trajectory).
     """
-    return _locate_crossing(_trajectory(a, family, b_lo, b_hi, steps))
+    _check_scan(a, family, b_lo, b_hi)
+    b_star = math.nan
+    if family < 0:
+        p, q = float(a).as_integer_ratio()
+        try:
+            b_star = (-2 * int(family) - 1) * _PI_E40 * q / (2 * p * 10 ** 40)
+        except OverflowError:  # beyond the largest float, so above any finite b_hi
+            b_star = math.inf
+    if not b_lo <= b_star <= b_hi:
+        raise NoCrossingError(f"family {family}: Im k keeps one sign on [{b_lo}, {b_hi}]")
+    return b_star, -b_star
+
+
+def _check_scan(a: float, family: int, b_lo: float, b_hi: float):
+    """Refuse a bracket that is not 0 < b_lo < b_hi < inf, a bad a, or family 0."""
+    if not 0 < b_lo < b_hi < math.inf:
+        raise ValueError(f"need a finite bracket 0 < b_lo < b_hi, got [{b_lo}, {b_hi}]")
+    _positive(a=a)
+    if family == 0:
+        raise ValueError("need a nonzero signed pole index, got family=0")
 
 
 def _trajectory(a: float, family: int, b_lo: float, b_hi: float, steps: int) -> PoleTrajectory:
     """The family's pole tracked from b_lo to b_hi, identified by its index at b_lo."""
-    if not 0 < b_lo < b_hi < math.inf:
-        raise ValueError(f"need a finite bracket 0 < b_lo < b_hi, got [{b_lo}, {b_hi}]")
+    _check_scan(a, family, b_lo, b_hi)
     pot0 = DeltaShellPotential(b=b_lo, a=a)
     return track_pole(pot0, _start_pole(pot0, family), b_lo, b_hi, steps)
 
@@ -106,8 +125,6 @@ def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
     """
     if family > 0:
         return Pole(family, complex(_proper_poles(pot, family)[-1]))
-    if family == 0:
-        raise ValueError("need a nonzero signed pole index, got family=0")
     n = -family
     k0 = newton_polish(complex(_seeds(family, pot.b, pot.a)), pot)
     half = math.pi / (4 * pot.a)
@@ -122,63 +139,3 @@ def _start_pole(pot: DeltaShellPotential, family: int) -> Pole:
                                 f"around {k0} and {inner} nearer the origin, expected 1 "
                                 f"and {n - 1}")
     return Pole(index=family, k=k0)
-
-
-def _locate_crossing(traj: PoleTrajectory) -> tuple:
-    """Solve the trajectory's first crossing of the real axis for (b*, k*).
-
-    At a spectral singularity k = x is real, so F(b, x) = f(x) = 0, the pole
-    equation at intensity b (_pole_equation), is two real equations in the two
-    real unknowns, with F_x = f'(x) and F_b = -(e^{2ixa} - 1) = (f - 2x)/b: a
-    bordered 2x2 real Newton system (Keller 1977; Allgower & Georg 1990). It
-    takes the first sample with Im k exactly 0 (the last one included) as the
-    crossing, or the first two samples whose Im k changes sign, if they come
-    before it, as a seed by linear interpolation. With neither, the first
-    sample within rounding noise of the axis, |Im k| |F_x| <= _acceptance_bound
-    (a bracket end at b*, say), is the seed, bracketed by its neighbours. It
-    stops once a step moves b and x by at most CROSSING_ULPS ulp. Raises
-    NoCrossingError if no sample crosses, an iterate leaves the bracket by
-    more than CROSSING_ULPS ulp, or the iteration does not converge.
-    """
-    a, y = traj.a, traj.k.imag
-    hit = np.flatnonzero((y == 0) | np.append(y[:-1] * y[1:] < 0, False))
-    on_axis = hit.size == 0
-    if on_axis:
-        slope = np.abs(_pole_equation(traj.k, traj.b, a)[1])
-        hit = np.flatnonzero(np.abs(y) * slope <= _acceptance_bound(traj.k, traj.b, a))
-    if hit.size == 0:
-        raise NoCrossingError(f"family {traj.family}: Im k keeps one sign on "
-                              f"[{traj.b[0]}, {traj.b[-1]}]")
-    i = hit[0]
-    b1, k1 = float(traj.b[i]), complex(traj.k[i])
-    if k1.imag == 0.0:
-        return b1, k1.real
-    if on_axis:
-        b, x = b1, k1.real
-        lo, hi = sorted(traj.b[[max(i - 1, 0), min(i + 1, y.size - 1)]].tolist())
-    else:
-        b2, k2 = float(traj.b[i + 1]), complex(traj.k[i + 1])
-        t = k1.imag / (k1.imag - k2.imag)
-        b, x = b1 + t * (b2 - b1), k1.real + t * (k2.real - k1.real)
-        lo, hi = min(b1, b2), max(b1, b2)
-    slack = CROSSING_ULPS * math.ulp(hi)
-    for _ in range(CROSSING_MAX_ITER):
-        f, f_x = map(complex, _pole_equation(x, b, a))
-        f_b = (f - 2 * x) / b  # -(e^{2ixa} - 1)
-        det = f_b.real * f_x.imag - f_x.real * f_b.imag
-        db = (f_x.real * f.imag - f.real * f_x.imag) / det
-        dx = (f.real * f_b.imag - f_b.real * f.imag) / det
-        b, x = b + db, x + dx
-        if not lo - slack <= b <= hi + slack:
-            raise NoCrossingError(f"family {traj.family}: crossing Newton left the bracket "
-                                  f"[{lo}, {hi}] at b={b}")
-        if abs(db) <= CROSSING_ULPS * math.ulp(b) and abs(dx) <= CROSSING_ULPS * math.ulp(x):
-            break
-    else:
-        raise NoCrossingError(f"family {traj.family}: crossing Newton did not converge "
-                              f"near b={b}, k={x}")
-    residual = abs(_pole_equation(x, b, a)[0])
-    if residual >= _acceptance_bound(x, b, a):
-        raise NoCrossingError(f"family {traj.family}: crossing residual {residual:.2e} "
-                              f"above the acceptance bound at b={b}")
-    return b, x

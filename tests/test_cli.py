@@ -214,6 +214,8 @@ def test_scan_finds_singularity(tmp_path, monkeypatch):
         for name in ("find_poles", "track_pole"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    assert run(["scan", "--family", "-5", "--b-range", "13:15", "--out", str(out)]) == 0
+    assert solves == []  # the crossing is the closed form: nothing traced
     assert run(["scan", "--family", "-5", "--b-range", "13:15",
                 "--out", str(out), "--trajectory-out", str(traj)]) == 0
     assert solves == ["track_pole"]

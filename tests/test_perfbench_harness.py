@@ -3,9 +3,10 @@
 perfbench reads poles, states and overlaps through their object views
 (ps.proper + ps.improper, st.pole.k, st.A, ec.overlaps) and scans through
 find_singularity, and the oracle through survival_amplitude_exact. Four of its
-paths run here in-process, from the unedited perfbench/workloads.py, so a change
-to those views, a scan result or an oracle amplitude that the benchmark cannot
-read or rejects fails in Tier-1.
+paths run here in-process, from the unedited perfbench/workloads.py, and so does
+every command of its cli workload, through deltashell.cli.main, so a change to
+those views, a scan result, an oracle amplitude or a CLI output that the
+benchmark cannot read or rejects fails in Tier-1.
 """
 import importlib.util
 import math
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from deltashell import box_state
+from deltashell.cli import main
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -59,3 +61,16 @@ def test_oracle_op_passes_the_benchmark_checks(workloads):
     out = workloads.Oracle.op(20.0, ("box", 2), [0.05, 0.3, 1.0])
     errors, _ = workloads.Oracle(None).check([(None, out, None)])
     assert errors == []
+
+
+def test_cli_commands_pass_the_benchmark_checks(workloads, tmp_path):
+    """Each of the cli workload's commands exits 0 or with its listed fault
+    code, and every output of an exit 0 passes that workload's check.
+    """
+    for name, args, fault_code in workloads.CLI_COMMANDS:
+        out = tmp_path / f"{name}.out"
+        code = main(args + ["--out", str(out)])
+        assert code in (0, fault_code), f"{name} exited with {code}"
+        if code == 0:
+            errors, _ = workloads.Cli.check_output(name, out.read_bytes())
+            assert errors == [], name

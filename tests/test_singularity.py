@@ -4,11 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from deltashell import (DeltaShellPotential, PoleTrajectory, find_poles, find_singularity,
-                        jost_function, singularity, track_pole)
+from deltashell import (DeltaShellPotential, find_poles, find_singularity, jost_function,
+                        singularity, track_pole)
 from deltashell.errors import CompletenessError, NoCrossingError, TrajectoryLostError
 from deltashell.poles import Pole, _acceptance_bound, _newton, _seeds, pole_equation_residual
-from deltashell.singularity import _locate_crossing, _start_pole
+from deltashell.singularity import _start_pole, _trajectory
 
 from reference_values import lambert_w_improper_poles, lambert_w_proper_poles
 
@@ -125,11 +125,7 @@ def test_find_singularity():
 
 @pytest.mark.parametrize("a,family", [(1.0, -60), (0.5, -80), (1.0, -100)])
 def test_find_singularity_far_family(a, family):
-    """Family -n meets the axis where e^{2ika} = -1: b* = -k* = (2n - 1) pi / (2a).
-
-    Far out the residual's noise floor exceeds 1e-10, so every trajectory
-    sample must be accepted by newton_polish's noise-floor rule alone.
-    """
+    """Family -n meets the axis where e^{2ika} = -1: b* = -k* = (2n - 1) pi / (2a)."""
     closed = (2 * abs(family) - 1) * math.pi / (2 * a)
     b_star, k_star = find_singularity(a, family, closed - 1, closed + 1)
     assert abs(b_star - closed) <= 4 * math.ulp(closed)
@@ -171,42 +167,15 @@ def test_find_singularity_from_small_ab(family, b_hi):
     assert abs(k_star + closed) <= 4 * math.ulp(closed)
 
 
-def test_crossing_on_a_sample_is_taken_as_is():
-    """A sample with Im k exactly 0, before any sign change, is the crossing."""
-    traj = PoleTrajectory(family=-5, a=1.0, b=[13.0, B_STAR, 15.0],
-                          k=[complex(-14.13, -0.08), complex(-B_STAR, 0.0),
-                             complex(-14.13, 0.05)])
-    assert _locate_crossing(traj) == (B_STAR, -B_STAR)
-
-
 @pytest.mark.parametrize("family,b_lo,b_hi", [(-5, B_STAR - 1.0, B_STAR),
                                                (-1, 0.5, math.pi / 2)])
 def test_crossing_on_the_last_sample_is_found(family, b_lo, b_hi):
-    """A bracket that ends at b*: the last sample's Im k is rounding noise
-    (-2.8e-17 and -8.3e-17), within the acceptance noise of the pole equation,
-    so that sample seeds the bordered Newton and b*, k* come out within 4 ulp.
-    """
+    """A bracket that ends at b* (within 1 ulp) holds the crossing: b*, k* within 4 ulp."""
     closed = _closed_form(family, 1.0)
     assert abs(b_hi - closed) <= math.ulp(closed)
     b_star, k_star = find_singularity(1.0, family, b_lo, b_hi)
     assert abs(b_star - closed) <= 4 * math.ulp(closed)
     assert abs(k_star + closed) <= 4 * math.ulp(closed)
-
-
-def test_crossing_exactly_on_the_last_sample_is_taken_as_is():
-    traj = PoleTrajectory(family=-5, a=1.0, b=[13.0, B_STAR],
-                          k=[complex(-14.13, -0.08), complex(-B_STAR, 0.0)])
-    assert _locate_crossing(traj) == (B_STAR, -B_STAR)
-
-
-def test_crossing_newton_rejects_a_crossing_outside_its_bracket():
-    """Two samples whose Im k changes sign seed the bordered Newton, which
-    converges to b* = 9 pi/2, outside [13, 13.5]: NoCrossingError.
-    """
-    traj = PoleTrajectory(family=-5, a=1.0, b=[13.0, 13.5],
-                          k=[complex(-14.13, -0.08), complex(-14.13, 0.01)])
-    with pytest.raises(NoCrossingError, match="left the bracket"):
-        _locate_crossing(traj)
 
 
 def test_improper_seed_polishes_to_the_lambert_w_pole():
@@ -244,7 +213,7 @@ def test_start_pole_rejects_a_patched_count(monkeypatch):
     for patched in (lambda rect, p: 2, lambda rect, p: 0, inner):
         monkeypatch.setattr(singularity, "count_roots_in_rectangle", patched)
         with pytest.raises(CompletenessError, match="winding counts"):
-            find_singularity(1.0, -5, 13.0, 15.0)
+            _trajectory(1.0, -5, 13.0, 15.0, 21)
 
 
 def test_find_singularity_scan_direction_symmetry():
@@ -256,6 +225,61 @@ def test_find_singularity_scan_direction_symmetry():
 def test_no_crossing_for_proper_family():
     with pytest.raises(NoCrossingError):
         find_singularity(1.0, 1, 13.0, 15.0)
+
+
+@pytest.mark.parametrize("a", [0.3, 1.7, 3.3])
+def test_find_singularity_is_correctly_rounded(a):
+    """Where a is no power of two, b* and k* are +-(2n - 1) pi/(2a) correctly
+    rounded (40-digit mpmath), for families -1 ... -60, -80, -100 and -1000.
+    """
+    for n in list(range(1, 61)) + [80, 100, 1000]:
+        closed = _closed_form(-n, a)
+        assert find_singularity(a, -n, closed - 1 / a, closed + 1 / a) == (closed, -closed), \
+            f"family {-n}, a={a}"
+    closed = _closed_form(-5, a)  # a numpy index is the same family
+    assert find_singularity(a, np.int64(-5), closed - 1, closed + 1) == (closed, -closed)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_start_pole_at_the_closed_form_lies_on_it(a):
+    """At b = b* the certified start pole of family -n, n = 1 ... 100, keeps
+    its index and sits at k = -b* to rel 1e-12: the closed form is the
+    package's own family -n.
+    """
+    for n in range(1, 101):
+        b_star = _closed_form(-n, a)
+        pole = _start_pole(DeltaShellPotential(b=b_star, a=a), -n)
+        assert pole.index == -n
+        assert pole.k == pytest.approx(-b_star, rel=1e-12), f"family {-n}, a={a}"
+
+
+def test_trajectory_crosses_the_axis_at_the_closed_form():
+    """Family -n traced on 21 samples of b* +- 1/a rises through the axis, and
+    its first sign change of Im k lies on the two samples around b* (4 ulp of
+    slack for the sample at b*, whose Im k is rounding noise): n = 1 ... 60 at
+    a in {0.25, 1, 4}, and the far families -80 at a = 0.5 and -100 at a = 1,
+    whose samples newton_polish's noise-floor rule alone accepts.
+    """
+    cases = [(a, -n) for a in (0.25, 1.0, 4.0) for n in range(1, 61)]
+    for a, family in cases + [(0.5, -80), (1.0, -100)]:
+        b_star = _closed_form(family, a)
+        traj = _trajectory(a, family, b_star - 1 / a, b_star + 1 / a, 21)
+        y, slack = traj.k.imag, 4 * math.ulp(b_star)
+        i = np.flatnonzero(np.sign(y[1:]) != np.sign(y[:-1]))[0]
+        label = f"family {family}, a={a}"
+        assert y[0] < 0 < y[-1], label
+        assert traj.b[i] - slack <= b_star <= traj.b[i + 1] + slack, label
+
+
+@pytest.mark.parametrize("a,b_lo,b_hi", [(1.0, 13.0, 13.5), (1.0, 14.2, 15.0),
+                                         (1e-310, 13.0, 15.0)],
+                         ids=["below", "above", "beyond_the_largest_float"])
+def test_no_crossing_outside_the_bracket(a, b_lo, b_hi):
+    """Family -5's b* = 9 pi/(2a) outside [b_lo, b_hi]; at a = 1e-310 it exceeds
+    the largest float, so no finite bracket holds it.
+    """
+    with pytest.raises(NoCrossingError, match="keeps one sign"):
+        find_singularity(a, -5, b_lo, b_hi)
 
 
 def test_crossing_is_transversal():
@@ -280,3 +304,5 @@ def test_validation():
         find_singularity(1.0, 0, 13.0, 15.0)
     with pytest.raises(TypeError):
         find_singularity(1.0, -5, 13.0, 15.0, 21, 6)  # n_poles is gone
+    with pytest.raises(TypeError):
+        find_singularity(1.0, -5, 13.0, 15.0, 21)  # so is steps
