@@ -11,8 +11,8 @@ import sys
 
 import numpy as np
 
-from deltashell import (DeltaShellPotential, QuadratureSettings, SineInitialState,
-                        box_state, build_expansion, lifetime, survival_amplitude,
+from deltashell import (DeltaShellPotential, SineInitialState, box_state,
+                        build_expansion, lifetime, survival_amplitude,
                         survival_amplitude_exact)
 
 out_dir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "demo_output")
@@ -21,9 +21,8 @@ out_dir.mkdir(parents=True, exist_ok=True)
 pot = DeltaShellPotential(b=4.5 * math.pi, a=1.0)
 
 print("delta-resolution check: applying g(t -> 0) returns the initial state")
-qs = QuadratureSettings(t_min=1e-4)
 for q in (1, 6):
-    s = abs(survival_amplitude_exact(pot, box_state(q), 2e-4, N=80, quad_settings=qs)) ** 2
+    s = abs(survival_amplitude_exact(pot, box_state(q), 2e-4, N=80, t_min=1e-4)) ** 2
     print(f"  q = {q}: S_exact(2e-4) = {s:.6f}")
 
 print("\nexpansion vs exact for the box mode q = 1 and the singular state:")

@@ -21,7 +21,7 @@ from .basis import build_basis
 from .errors import DeltaShellError, NoCrossingError, NoTransitionError
 from .expansion import build_expansion, lifetime, survival_series
 from .model import DeltaShellPotential, SineInitialState, box_state
-from .oracle import DEFAULT_QUAD, survival_amplitude_exact
+from .oracle import T_MIN, survival_amplitude_exact
 from .poles import find_poles, pole_equation_residual
 from .singularity import _trajectory, find_singularity
 from .verify import run_verification
@@ -75,7 +75,7 @@ def cmd_survival(args) -> int:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
     tmax = _parse_time(args.tmax)
     tmin = _parse_time(args.tmin) if args.tmin else None
-    t_floor = DEFAULT_QUAD.t_min if args.oracle else 0.0  # the oracle's smallest time
+    t_floor = T_MIN if args.oracle else 0.0  # the oracle's smallest time
     if tmin is not None and not tmin[1] and tmin[0] < t_floor:  # known before any solve
         raise ValueError(f"--tmin {args.tmin} is below the oracle's minimum time {t_floor}")
     ctx = build_expansion(pot, init, args.n)
@@ -90,8 +90,7 @@ def cmd_survival(args) -> int:
     series = survival_series(pot, init, grid, args.n, context=ctx)
     oracle_S = None
     if args.oracle:
-        oracle_S = [abs(survival_amplitude_exact(pot, init, float(t), args.n)) ** 2
-                    for t in grid]
+        oracle_S = [abs(survival_amplitude_exact(pot, init, float(t))) ** 2 for t in grid]
     config = {"b": pot.b, "a": pot.a, "k_c": init.k_c, "N_c": init.N_c,
               "n_pole_pairs": args.n, "samples": args.samples,
               "spacing": args.spacing, "t_min": float(grid[0]),
@@ -170,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid end; plain number or multiple of the lifetime like '40tau'")
     p.add_argument("--tmin", default=None,
                    help="grid start (default tmax/samples, with --oracle at least "
-                        f"the oracle's minimum time {DEFAULT_QUAD.t_min})")
+                        f"the oracle's minimum time {T_MIN})")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
     p.add_argument("--n", type=int, default=40, help="pole pairs in the expansion")

@@ -8,10 +8,6 @@ class DeltaShellError(Exception):
 class SolverError(DeltaShellError):
     """Root finding failed (non-convergence, bad seed)."""
 
-    def __init__(self, message, seed=None):
-        super().__init__(message)
-        self.seed = seed
-
 
 class CompletenessError(SolverError):
     """Number of polished roots disagrees with the winding-number count."""
@@ -26,15 +22,7 @@ class NearPoleError(DeltaShellError):
 
 
 class QuadratureError(DeltaShellError):
-    """Adaptive quadrature did not reach the requested tolerance.
-
-    Carries the partial value and the error estimate for diagnostics.
-    """
-
-    def __init__(self, message, value=None, estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.estimate = estimate
+    """Adaptive quadrature did not reach the requested tolerance."""
 
 
 class NoCrossingError(DeltaShellError):

@@ -210,11 +210,28 @@ def tail_coefficient(coeffs: OverlapSet, poles: PoleSet, N: Optional[int] = None
     return _pair_sum(coeffs, N, 2 * k ** 3)
 
 
+def _check_above_ray(k):
+    """Raise DeltaShellError naming the first of the proper poles k below the rotated ray.
+
+    Such a pole (ab < 0.0319) gives no exponential term, and the expansion has
+    no other term for it, so its sum would be wrong, not approximate.
+    """
+    below = ~_above_ray(k)
+    if below.any():
+        p = int(np.argmax(below))
+        raise DeltaShellError(f"proper pole p = {p + 1} at k = {complex(k[p]):.6g} lies below "
+                              f"the rotated ray; the expansion has no term for it")
+
+
 def survival_amplitude(coeffs: OverlapSet, poles: PoleSet, t: float,
                        N: Optional[int] = None):
-    """(A, A_exp, A_tail) at a positive time, or on an array of positive times."""
+    """(A, A_exp, A_tail) at a positive time, or on an array of positive times.
+
+    Every one of the first N proper poles must lie above the rotated ray.
+    """
     _check_times(t)
     N = _pair_count(N, coeffs.n_pairs)
+    _check_above_ray(poles.k_proper[:N])
     A_tail = -ETA * tail_coefficient(coeffs, poles, N) * t ** -1.5
     c = coeffs.C[0, :N]
     A_exp = _pole_sum(c * c, poles.k_proper[:N], t)
@@ -291,12 +308,15 @@ def survival_series(pot: DeltaShellPotential, init: SineInitialState,
 
 def wavefunction(context: ExpansionContext, r: float, t: float,
                  N: Optional[int] = None) -> complex:
-    """psi(r, t) for 0 <= r <= a from the resonant expansion."""
+    """psi(r, t) for 0 <= r <= a from the resonant expansion; the first N proper poles
+    must lie above the rotated ray.
+    """
     if not 0 <= r <= context.potential.a:
         raise ValueError(f"need 0 <= r <= a={context.potential.a}, got r={r}")
     _check_times(t)
     coeffs, basis = context.overlaps, context.basis
     N = _pair_count(N, coeffs.n_pairs)
+    _check_above_ray(context.pole_set.k_proper[:N])
     psi = 0j
     for p in range(1, N + 1):
         st = basis.state(p)

@@ -1,6 +1,7 @@
 """Exact, expansion-free reference dynamics.
 
-Closed-form outgoing Green's function and Jost function for the shell, the
+Closed-form outgoing Green's function and Jost function for the shell (the
+Jost factor is poles._jost_factor, the winding counts' integrand), the
 exact propagator as a proper-pole residue sum plus a rotated-ray quadrature
 
     g(r,r';t) = sum_{p>=1, arg k_p > -pi/4} u_p(r) u_p(r') e^{-i k_p^2 t}
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,34 +28,18 @@ import numpy as np
 from .basis import _state_products, normalization_coefficient
 from .errors import NearPoleError, QuadratureError
 from .model import DeltaShellPotential, SineInitialState
-from .poles import _above_ray, _proper_poles, _readonly
+from .poles import _above_ray, _jost_factor, _proper_poles, _readonly
 from .expansion import (_check_times, _overlap_quadrature, _overlaps, _pole_sum,
                         _scalar_or_array, quad)
 
 GAMMA_ROTATION = cmath.exp(-1j * math.pi / 4)  # sqrt(-i), principal branch
 NEAR_POLE_TOL = 1e-13
 RAY_CUTOFF = 40.0  # the ray ends at |z| = sqrt(RAY_CUTOFF / t), where e^{-z^2 t} = e^{-40}
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Adaptive-quadrature policy for the contour integrals."""
-
-    epsabs: float = 1e-13
-    epsrel: float = 1e-11
-    limit: int = 4000        # most Gauss-Kronrod panels per ray integral
-    t_min: float = 0.05      # smallest supported propagation time
-    max_error: float = 1e-9  # estimated-error gate
-
-
-DEFAULT_QUAD = QuadratureSettings()
-
-
-def _jost_factor(k, d, pot: DeltaShellPotential):
-    """1 - (b/2k)(e^{2ikd} - 1), with its removable value 1 - i b d at k = 0."""
-    zero = k == 0
-    kk = np.where(zero, 1, k)
-    return np.where(zero, 1 - 1j * pot.b * d, 1 - (pot.b / (2 * kk)) * np.expm1(2j * kk * d))
+T_MIN = 0.05          # default smallest supported propagation time
+RAY_EPSABS = 1e-13    # the ray quadrature's absolute and relative targets
+RAY_EPSREL = 1e-11
+RAY_PANELS = 4000     # Gauss-Kronrod panels per ray integral at t >= T_MIN
+RAY_MAX_ERROR = 1e-9  # estimated-error gate
 
 
 def jost_function(k, pot: DeltaShellPotential):
@@ -64,7 +48,7 @@ def jost_function(k, pot: DeltaShellPotential):
     Takes a scalar (returns a complex) or an array of k. The removable value
     at the origin, F(0) = 1 - i b a, is returned explicitly.
     """
-    return _scalar_or_array(_jost_factor(np.asarray(k, dtype=complex), pot.a, pot))
+    return _scalar_or_array(_jost_factor(np.asarray(k, dtype=complex), pot.a, pot.b))
 
 
 def _phi_regular(k, r: float, pot: DeltaShellPotential):
@@ -86,7 +70,7 @@ def _f_jost_solution(k, r: float, pot: DeltaShellPotential):
     k = np.asarray(k, dtype=complex)
     f = np.exp(1j * k * r)
     if r < pot.a:
-        f = f * _jost_factor(k, pot.a - r, pot)
+        f = f * _jost_factor(k, pot.a - r, pot.b)
     return _scalar_or_array(f)
 
 
@@ -95,7 +79,7 @@ def green_function(r: float, rp: float, k, pot: DeltaShellPotential):
     if r < 0 or rp < 0:
         raise ValueError("coordinates must be non-negative")
     k = np.asarray(k, dtype=complex)
-    F = _jost_factor(k, pot.a, pot)
+    F = _jost_factor(k, pot.a, pot.b)
     if np.any(np.abs(F) < NEAR_POLE_TOL):
         i = np.argmin(np.abs(F))
         raise NearPoleError(f"Jost function vanishes at k={k.flat[i]} to "
@@ -113,20 +97,21 @@ def residue_at_pole(pole_k, r: float, rp: float, pot: DeltaShellPotential):
     return _scalar_or_array(np.sum(G * ring, axis=-1) / 128)
 
 
-def _ray_integral(f, t: float, quad_settings: QuadratureSettings) -> complex:
+def _ray_integral(f, t: float, t_min: float) -> complex:
     """(1/pi) integral_{-Z}^{Z} f(gamma z) e^{-z^2 t} z dz on the rotated ray, Z^2 = RAY_CUTOFF/t.
 
     f takes the array of ray points gamma z; z = 0 is a breakpoint and never a node.
+    The ray grows like t^{-1/2}, and so does the panel cap: RAY_PANELS at t >= T_MIN.
     """
-    _check_times(t, quad_settings.t_min)
+    _check_times(t, t_min)
     Z = math.sqrt(RAY_CUTOFF / t)
+    limit = math.ceil(RAY_PANELS * max(1.0, math.sqrt(T_MIN / t)))
     value, estimate = quad(lambda z: z * np.exp(-z * z * t) * f(GAMMA_ROTATION * z),
-                           -Z, Z, points=[0.0], epsabs=quad_settings.epsabs,
-                           epsrel=quad_settings.epsrel, limit=quad_settings.limit)
-    if estimate > quad_settings.max_error:
-        raise QuadratureError(
-            f"contour quadrature error estimate {estimate:.2e} exceeds "
-            f"{quad_settings.max_error:.2e}", value=value, estimate=estimate)
+                           -Z, Z, points=[0.0], epsabs=RAY_EPSABS, epsrel=RAY_EPSREL,
+                           limit=limit)
+    if estimate > RAY_MAX_ERROR:
+        raise QuadratureError(f"contour quadrature error estimate {estimate:.2e} exceeds "
+                              f"{RAY_MAX_ERROR:.2e}")
     return complex(value) / math.pi
 
 
@@ -139,16 +124,17 @@ def _state_arrays(pot: DeltaShellPotential, n: int):
 
 
 def propagator(r: float, rp: float, t: float, pot: DeltaShellPotential,
-               N: int = 40, quad_settings: QuadratureSettings = DEFAULT_QUAD) -> complex:
+               N: int = 40, t_min: float = T_MIN) -> complex:
     """Exact retarded propagator g(r, r'; t) for r, r' <= a.
 
     Sums the residues of the first N proper poles above the ray; terms beyond the
     e^{-Gamma_p t} cutoff contribute nothing, so N = 40 is converged for t of order
     the lifetime. N = 0 skips the residue sum (free-particle-like potentials).
+    Times below t_min raise ValueError.
     """
     if r > pot.a or rp > pot.a:
         raise ValueError("propagator supported inside the interaction region")
-    ray = _ray_integral(lambda k: green_function(r, rp, k, pot), t, quad_settings)
+    ray = _ray_integral(lambda k: green_function(r, rp, k, pot), t, t_min)
     k, A = _state_arrays(pot, N)
     return _pole_sum(_state_products(k, A, r, rp), k, t) + ray
 
@@ -198,10 +184,10 @@ def _oracle_overlaps(pot: DeltaShellPotential, init: SineInitialState, n: int):
 
 
 def survival_amplitude_exact(pot: DeltaShellPotential, init: SineInitialState, t: float,
-                             N: int = 40,
-                             quad_settings: QuadratureSettings = DEFAULT_QUAD) -> complex:
+                             N: int = 40, t_min: float = T_MIN) -> complex:
     """A(t) = <psi(0)| g(t) |psi(0)> with the double space integral done analytically:
     the residue sum over the first N proper poles above the ray plus the ray integral.
+    Times below t_min raise ValueError.
     """
-    ray = _ray_integral(lambda k: resolvent_matrix_element(k, pot, init), t, quad_settings)
+    ray = _ray_integral(lambda k: resolvent_matrix_element(k, pot, init), t, t_min)
     return _pole_sum(_oracle_overlaps(pot, init, N), _state_arrays(pot, N)[0], t) + ray

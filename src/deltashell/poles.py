@@ -2,11 +2,13 @@
 
 The poles are the roots of f(k) = 2k - b (exp(2ika) - 1) = 0 away from the
 removable zero at k = 0. _pole_equation is the one evaluation of f and f' in
-the package, for scalars and arrays alike. _seeds holds both families'
-asymptotes; _newton is the one array Newton that polishes them, here and in
-singularity.py's trajectories.
+the package, for scalars and arrays alike; _jost_factor is the one evaluation
+of the Jost function F(k) = f(k)/(2k), the integrand of the winding counts and
+the oracle's closed forms. _seeds holds both families' asymptotes; _newton is
+the one array Newton that polishes them, here and in singularity.py's
+trajectories.
 The proper (fourth-quadrant) family is seeded, polished and certified by one
-winding-number count (argument principle). The improper family is located by
+winding-number count of F (argument principle). The improper family is located by
 bisecting rectangles until each isolates a single root, certified by winding
 counts and polished with damped scalar Newton iteration (newton_polish).
 A PoleSet holds one read-only array of k per family; its Pole objects are
@@ -58,25 +60,16 @@ def pole_equation_residual(k: complex, pot: DeltaShellPotential) -> complex:
     return complex(_pole_equation(k, pot.b, pot.a)[0])
 
 
-def pole_equation_derivative(k: complex, pot: DeltaShellPotential) -> complex:
-    return complex(_pole_equation(k, pot.b, pot.a)[1])
+def _jost_factor(k, d, b):
+    """1 - (b/2k)(e^{2ikd} - 1), with its removable value 1 - i b d at k = 0.
 
-
-def _reduced_residual(k, pot: DeltaShellPotential):
-    """f(k)/k at a scalar k (a 0-d array) or an array, continued through k = 0.
-
-    Dividing out the spurious root at the origin lets rectangle boundaries
-    pass through or near k = 0; the value there is 2(1 - i b a) != 0.
+    At d = a this is the Jost function F(k) = f(k)/(2k), whose zeros are the
+    poles: the removable zero of f at the origin is divided out, so a
+    rectangle boundary may pass through or near k = 0.
     """
-    b, a = pot.b, pot.a
-    k = np.asarray(k, dtype=complex)
-    if np.abs(k).min() * a >= 1e-8:
-        return _pole_equation(k, b, a)[0] / k
-    small = np.abs(k) * a < 1e-8
-    x = 2j * a
-    kk = np.where(small, 1.0, k)
-    return np.where(small, 2 - b * (x + x * x * k / 2 + x * x * x * k * k / 6),
-                    _pole_equation(kk, b, a)[0] / kk)
+    zero = k == 0
+    kk = np.where(zero, 1, k)
+    return np.where(zero, 1 - 1j * b * d, 1 - (b / (2 * kk)) * np.expm1(2j * kk * d))
 
 
 def residual_noise_floor(k, b, a):
@@ -126,7 +119,7 @@ def newton_polish(seed: complex, pot: DeltaShellPotential) -> complex:
             k = k_next
         if abs(_pole_equation(k, b, a)[0]) < _acceptance_bound(k, b, a):
             return k
-    raise SolverError(f"Newton did not converge from seed {seed}", seed=seed)
+    raise SolverError(f"Newton did not converge from seed {seed}")
 
 
 def _seeds(index, b, a):
@@ -168,14 +161,14 @@ def _newton(k, b, a):
 
 
 def _boundary_winding(x0, x1, y0, y1, pot):
-    """Winding number of the reduced residual around a rectangle boundary.
+    """Winding number of the Jost function F(k) around a rectangle boundary.
 
-    Edges are presampled densely enough to avoid phase aliasing (the residual
+    Edges are presampled densely enough to avoid phase aliasing (F
     rotates at most ~2a radians per unit arclength away from roots), and the
     whole boundary is evaluated as one array. Every segment whose phase step
     is >= 0.8 rad is halved, one level at a time, until all steps are below
     it or WINDING_MAX_DEPTH levels are done. Raises BoundaryRootError if a
-    sample lands on a near-zero of the residual.
+    sample lands on a near-zero of F.
     """
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
                complex(x0, y1), complex(x0, y0)]
@@ -184,8 +177,8 @@ def _boundary_winding(x0, x1, y0, y1, pot):
         n = max(8, int(abs(c1 - c0) * 2 * pot.a / 0.5) + 1)
         edges.append(c0 + (c1 - c0) * np.arange(n + 1) / n)
     z = np.concatenate(edges)
-    f = _reduced_residual(z, pot)
-    tiny = 1e-12 * max(1.0, abs(pot.b))
+    f = _jost_factor(z, pot.a, pot.b)
+    tiny = 5e-13 * max(1.0, abs(pot.b))
     if np.abs(f).min() < tiny:
         raise BoundaryRootError("rectangle boundary passes through a root")
     start = np.ones(z.size, dtype=bool)  # segments run within an edge
@@ -201,7 +194,7 @@ def _boundary_winding(x0, x1, y0, y1, pot):
             break
         seg = seg[:, coarse]
         zm = (seg[0] + seg[1]) / 2
-        fm = _reduced_residual(zm, pot)
+        fm = _jost_factor(zm, pot.a, pot.b)
         if np.abs(fm).min() < tiny:
             raise BoundaryRootError("rectangle boundary passes through a root")
         m = zm.size
@@ -218,7 +211,7 @@ def count_roots_in_rectangle(rect, pot: DeltaShellPotential) -> int:
     """Number of pole-equation roots strictly inside rect = (re_lo, re_hi, im_lo, im_hi).
 
     The spurious zero at the origin is never counted. If the boundary passes
-    within ~1e-12 of a root the rectangle is retried with a deterministic
+    where |F| < 5e-13 max(1, b) the rectangle is retried with a deterministic
     jitter of relative size 1e-6; retries exhausted raise BoundaryRootError.
     """
     x0, x1, y0, y1 = rect
@@ -279,16 +272,6 @@ class Pole:
         if self.k.real < 0 and self.k.imag < 0:
             return Quadrant.THIRD
         raise ValueError(f"pole {self.k} sits in the causality-excluded first quadrant")
-
-
-def resonance_parameters(pole: Pole) -> tuple[float, float]:
-    """(resonance position, decay width) = (alpha^2 - beta^2, 4 alpha beta).
-
-    Defined for proper (index > 0) poles only.
-    """
-    if pole.index <= 0:
-        raise ValueError("resonance parameters are defined for proper poles only")
-    return pole.resonance_position, pole.width
 
 
 def _readonly(x, dtype=complex):
@@ -352,8 +335,8 @@ def _subdivide_roots(rect, pot, expected):
             margin = 1e-9
             if k is not None and x0 - margin <= k.real <= x1 + margin and \
                     y0 - margin <= k.imag <= y1 + margin and \
-                    abs(_reduced_residual(k, pot)) < 1e-6:
-                # the reduced-residual gate rejects the spurious zero of the
+                    abs(_jost_factor(k, pot.a, pot.b)) < 5e-7:
+                # the Jost-function gate rejects the spurious zero of the
                 # raw pole equation at the origin (not a pole of G+)
                 roots.append(k)
                 continue

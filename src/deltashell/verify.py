@@ -25,7 +25,7 @@ import numpy as np
 from .basis import _state_products, green_expansion, normalization_residual, sum_rule_defect
 from .expansion import build_expansion, closure_sum, lifetime, survival_amplitude
 from .model import DeltaShellPotential, SineInitialState, box_state
-from .oracle import DEFAULT_QUAD, green_function, residue_at_pole, survival_amplitude_exact
+from .oracle import T_MIN, green_function, residue_at_pole, survival_amplitude_exact
 from .poles import _acceptance_bound, _pole_equation
 
 
@@ -103,10 +103,10 @@ def run_verification(pot: DeltaShellPotential, init: SineInitialState | None = N
     tau = lifetime(ctx.pole_set)
     k1 = complex(k[0])  # R1 = E_1 / Gamma_1 = (alpha^2 - beta^2) / (4 alpha beta)
     r1 = (k1.real ** 2 - k1.imag ** 2) / (4.0 * k1.real * -k1.imag)
-    t_check = max(3 * tau, 1.2 * DEFAULT_QUAD.t_min)
+    t_check = max(3 * tau, 1.2 * T_MIN)
     if r1 > 3:
         a_exp, _, _ = survival_amplitude(ctx.overlaps, ctx.pole_set, t_check, min(n, 40))
-        a_or = survival_amplitude_exact(pot, init, t_check, min(n, 40))
+        a_or = survival_amplitude_exact(pot, init, t_check)
         rel = abs(abs(a_or) ** 2 - abs(a_exp) ** 2) / abs(a_or) ** 2
         results.append(_gate("oracle_expansion_agreement", rel, 0.05,
                              note=f"survival probability at t = {t_check:.3g}"))

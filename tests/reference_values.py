@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from deltashell.errors import BoundaryRootError
+from deltashell.poles import _jost_factor
 
 
 def _lambert_w_roots(b, a, branches):
@@ -53,20 +54,13 @@ def lambert_w_improper_poles(b, a, n):
     return k[:n]
 
 
-def _reduced_residual(k, b, a):
-    """(2k - b (e^{2ika} - 1))/k in scalar complex arithmetic, continued through k = 0."""
-    if abs(k) * a < 1e-8:
-        x = 2j * a
-        return 2 - b * (x + x * x * k / 2 + x * x * x * k * k / 6)
-    return (2 * k - b * (cmath.exp(2j * k * a) - 1)) / k
-
-
 def boundary_winding(x0, x1, y0, y1, b, a, max_depth=48):
-    """Scalar referee of poles._boundary_winding: the same samples, one at a time.
+    """Scalar referee of poles._boundary_winding: the same samples of the same Jost
+    function, each edge's presamples in one call and every refinement one at a time.
 
     Each edge is presampled at max(8, 4 a length + 1) segments; a depth-first
-    stack halves each segment whose phase step is >= 0.8 rad. A sample within
-    1e-12 max(1, b) of zero raises BoundaryRootError.
+    stack halves each segment whose phase step is >= 0.8 rad. A sample where
+    |F| < 5e-13 max(1, b) raises BoundaryRootError.
     """
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
                complex(x0, y1), complex(x0, y0)]
@@ -76,19 +70,19 @@ def boundary_winding(x0, x1, y0, y1, b, a, max_depth=48):
         length = abs(c1 - c0)
         n = max(8, int(length * 2 * a / 0.5) + 1)
         samples = [c0 + (c1 - c0) * j / n for j in range(n + 1)]
-        values = [_reduced_residual(z, b, a) for z in samples]
+        values = _jost_factor(np.array(samples), a, b).tolist()
         for j in range(n):
             stack = [(samples[j], samples[j + 1], values[j], values[j + 1], 0)]
             while stack:
                 z0, z1, f0, f1, depth = stack.pop()
-                if abs(f0) < 1e-12 * scale or abs(f1) < 1e-12 * scale:
+                if abs(f0) < 5e-13 * scale or abs(f1) < 5e-13 * scale:
                     raise BoundaryRootError("rectangle boundary passes through a root")
                 dphi = cmath.phase(f1 / f0)
                 if abs(dphi) < 0.8 or depth >= max_depth:
                     total += dphi
                 else:
                     zm = (z0 + z1) / 2
-                    fm = _reduced_residual(zm, b, a)
+                    fm = complex(_jost_factor(zm, a, b))
                     stack.append((z0, zm, f0, fm, depth + 1))
                     stack.append((zm, z1, fm, f1, depth + 1))
     w = total / (2 * math.pi)

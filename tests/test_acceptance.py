@@ -11,10 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from deltashell import (DeltaShellPotential, QuadratureSettings, SineInitialState,
-                        box_state, closure_sum, find_poles, find_singularity, green_function,
-                        jost_function, lifetime, residue_at_pole,
-                        resonance_parameters, survival_amplitude,
+from deltashell import (DeltaShellPotential, SineInitialState, box_state, closure_sum,
+                        find_poles, find_singularity, green_function, jost_function,
+                        lifetime, residue_at_pole, survival_amplitude,
                         survival_amplitude_exact, survival_series, transition_time)
 from deltashell.basis import green_expansion, normalization_residual
 from deltashell.cli import main as cli_main
@@ -46,7 +45,8 @@ def test_criterion_01_pole_table(pot9):
 
 
 def test_criterion_02_resonance_parameters(ps10):
-    e1, g1 = resonance_parameters(ps10.by_index(1))
+    p1 = ps10.by_index(1)
+    e1, g1 = p1.resonance_position, p1.width
     assert e1 == pytest.approx(RESONANCE_E1, abs=1e-3)
     assert g1 == pytest.approx(RESONANCE_G1, abs=1e-3)
     assert e1 / g1 == pytest.approx(RESONANCE_RATIO, abs=0.01)
@@ -202,12 +202,10 @@ def test_criterion_10_delta_resolution(pot9):
     t0 = time.perf_counter()
     for init, t_check, n in ((box_state(1), 2e-4, 80), (box_state(2), 2e-4, 80),
                              (box_state(6), 1e-4, 80)):
-        qs = QuadratureSettings(t_min=1e-4)
-        s = abs(survival_amplitude_exact(pot9, init, t_check, n, qs)) ** 2
+        s = abs(survival_amplitude_exact(pot9, init, t_check, n, t_min=1e-4)) ** 2
         assert s == pytest.approx(1.0, abs=1e-3)
-    qs = QuadratureSettings(t_min=1e-7, limit=60000)
     ss = SineInitialState.from_wavenumber(B_REF)
-    s = abs(survival_amplitude_exact(pot9, ss, 3e-7, 10000, qs)) ** 2
+    s = abs(survival_amplitude_exact(pot9, ss, 3e-7, 10000, t_min=1e-7)) ** 2
     assert s == pytest.approx(1.0, abs=1e-3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

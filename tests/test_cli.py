@@ -171,6 +171,35 @@ def test_survival_oracle_default_grid(tmp_path):
     assert len(doc["data"]["S_oracle"]) == 50
 
 
+def _s_oracle_column(path):
+    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    assert rows[0].split(",")[-1] == "S_oracle"
+    return [row.split(",")[-1] for row in rows[1:]]
+
+
+def test_survival_oracle_keeps_its_own_depth(tmp_path):
+    """--n sets the expansion's pole pairs, not the oracle's: its column is the
+    same at --n 10 and --n 40 (passing --n on read 0.0036917 and 0.0036343 at t = 0.05).
+    """
+    columns = []
+    for n in ("10", "40"):
+        out = tmp_path / f"so{n}.csv"
+        assert run(["survival", "--kc", "14.137166941154069", "--oracle", "--tmin", "0.05",
+                    "--tmax", "0.2", "--samples", "3", "--n", n, "--out", str(out)]) == 0
+        columns.append(_s_oracle_column(out))
+    assert columns[0] == columns[1]
+    assert float(columns[0][0]) == pytest.approx(0.0036343, abs=5e-8)
+
+
+@pytest.mark.parametrize("b,code", [("0.02", 4), ("0.0320", 0)])
+def test_survival_refuses_a_proper_pole_below_the_ray(tmp_path, capsys, b, code):
+    """At b = 0.02 k_1 lies below the rotated ray: a numerical failure naming the
+    pole, not an amplitude (S = 5.33 at t = 0.05 before). Just above, b = 0.0320 runs.
+    """
+    assert run(["survival", "--b", b, "--samples", "3", "--out", str(tmp_path / "s")]) == code
+    assert ("p = 1" in capsys.readouterr().err) == (code == 4)
+
+
 def test_survival_validation(capsys, monkeypatch):
     assert run(["survival", "--q", "1", "--kc", "3.0"]) == 2
     assert run(["survival", "--q", "0"]) == 2

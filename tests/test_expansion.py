@@ -510,3 +510,23 @@ def test_lifetime_comes_from_the_slowest_pole_above_the_ray():
     assert lifetime(ps) == 1.0 / (4.0 * k[1].real * -k[1].imag)
     with pytest.raises(DeltaShellError, match="N = 1 "):
         lifetime(PoleSet(ps.potential, k[:1], ps.k_improper[:1]))
+
+
+@pytest.mark.parametrize("b,refuses", [(0.02, True), (0.0320, False)])
+def test_expansion_refuses_a_proper_pole_below_the_ray(b, refuses):
+    """At b = 0.02 the first proper pole lies below the rotated ray, where the expansion
+    has no term for it: summed anyway, S was 5.33 at t = 0.05 against the oracle's
+    0.879. survival_amplitude, survival_series and wavefunction raise DeltaShellError
+    naming the pole. Just above the crossing, at b = 0.0320, they return.
+    """
+    pot, init = DeltaShellPotential(b=b, a=1.0), box_state(1)
+    ctx = build_expansion(pot, init, 40)
+    calls = (lambda: survival_amplitude(ctx.overlaps, ctx.pole_set, 0.05)[0],
+             lambda: survival_series(pot, init, [0.05, 0.1], 40, context=ctx).A,
+             lambda: wavefunction(ctx, 0.5, 0.05))
+    for call in calls:
+        if refuses:
+            with pytest.raises(DeltaShellError, match=r"p = 1 at k = .* below the rotated ray"):
+                call()
+        else:
+            assert np.all(np.isfinite(call()))

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from deltashell import (GAMMA_ROTATION, DeltaShellPotential, QuadratureSettings,
-                        SineInitialState, box_state, expansion, find_poles, green_function,
+from deltashell import (GAMMA_ROTATION, DeltaShellPotential, SineInitialState,
+                        box_state, expansion, find_poles, green_function,
                         jost_function, lifetime, oracle, poles, propagator, residue_at_pole,
                         resolvent_matrix_element, survival_amplitude, survival_amplitude_exact,
                         verify)
@@ -161,8 +161,7 @@ def test_resolvent_matches_brute_double_integral(pot9):
 def test_propagator_delta_resolution(pot9):
     """Applying g at tiny t to the initial state returns it: A -> 1."""
     init = box_state(1)
-    quad_small = QuadratureSettings(t_min=1e-4)
-    val = survival_amplitude_exact(pot9, init, 2e-4, N=80, quad_settings=quad_small)
+    val = survival_amplitude_exact(pot9, init, 2e-4, N=80, t_min=1e-4)
     assert abs(val) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -202,10 +201,11 @@ def test_propagator_validation(pot9):
         propagator(1.5, 0.6, 1.0, pot9)
 
 
-def test_quadrature_error_gate(pot9):
-    strangled = QuadratureSettings(limit=3, max_error=1e-12)
+def test_quadrature_error_gate(pot9, monkeypatch):
+    monkeypatch.setattr(oracle, "RAY_PANELS", 3)
+    monkeypatch.setattr(oracle, "RAY_MAX_ERROR", 1e-12)
     with pytest.raises(QuadratureError):
-        propagator(0.3, 0.6, 0.06, pot9, N=10, quad_settings=strangled)
+        propagator(0.3, 0.6, 0.06, pot9, N=10)
 
 
 def test_free_limit_ray_against_image_formula():
@@ -412,11 +412,12 @@ def test_quad_limit_caps_panels():
 
 
 @pytest.mark.parametrize("b", SWEEP_B)
-def test_ray_integral_against_scipy_quad(b):
+def test_ray_integral_against_scipy_quad(b, monkeypatch):
     """The Gauss-Kronrod ray integral against QUADPACK's scalar adaptive rule."""
     from scipy.integrate import quad as scipy_quad
     pot = DeltaShellPotential(b=b, a=1.0)
-    tight = QuadratureSettings(epsabs=1e-14, epsrel=1e-13)
+    monkeypatch.setattr(oracle, "RAY_EPSABS", 1e-14)
+    monkeypatch.setattr(oracle, "RAY_EPSREL", 1e-13)
     for init in SWEEP_STATES.values():
         for t in SWEEP_T:
             def integrand(z):
@@ -429,9 +430,10 @@ def test_ray_integral_against_scipy_quad(b):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IntegrationWarning)
                 ref = scipy_quad(integrand, -Z, Z, complex_func=True, points=[0.0],
-                                 epsabs=tight.epsabs, epsrel=tight.epsrel,
-                                 limit=tight.limit)[0] / math.pi
-            ray = _ray_integral(lambda k: resolvent_matrix_element(k, pot, init), t, tight)
+                                 epsabs=oracle.RAY_EPSABS, epsrel=oracle.RAY_EPSREL,
+                                 limit=oracle.RAY_PANELS)[0] / math.pi
+            ray = _ray_integral(lambda k: resolvent_matrix_element(k, pot, init), t,
+                                oracle.T_MIN)
             assert abs(ray - ref) < 1e-14, (init.k_c, t)
 
 
@@ -440,7 +442,6 @@ def test_oracle_sweep_raises_no_warning(pot9):
     times, where |z| reaches 630-11500 on the ray and an unguarded branch of
     the resolvent would overflow.
     """
-    small_t = QuadratureSettings(t_min=1e-7, limit=60000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for b in SWEEP_B:
@@ -449,7 +450,7 @@ def test_oracle_sweep_raises_no_warning(pot9):
                 for t in SWEEP_T:
                     assert np.isfinite(survival_amplitude_exact(pot, init, t))
         for init, t in ((box_state(6), 1e-4), (SWEEP_STATES["kc"], 3e-7)):
-            assert np.isfinite(survival_amplitude_exact(pot9, init, t, 80, small_t))
+            assert np.isfinite(survival_amplitude_exact(pot9, init, t, 80, t_min=1e-7))
 
 
 def test_array_kernels_match_scalar_calls(pot9):
